@@ -39,6 +39,7 @@ from .twophoton import (
     EVEN,
     H,
     ODD,
+    SQRT2,
     V,
     BellKind,
     PhotonMode,
@@ -53,7 +54,6 @@ from .twophoton import (
     rebase_path,
 )
 
-SQRT2 = math.sqrt(2.0)
 SUPPORT_TOL = 1e-12
 
 FILTER_FWHM = 1e-9  # interference filter bandwidth

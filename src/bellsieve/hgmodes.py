@@ -17,12 +17,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .twophoton import BELL_KINDS, BellKind
+from .twophoton import BELL_KINDS, SQRT2, BellKind
 
 PUMP_WAVELENGTH = 351.1e-9      # argon-ion pump line
 PHOTON_WAVELENGTH = 702.2e-9    # degenerate down-converted wavelength
 DEFAULT_WAIST = 1e-3            # pump waist, free configuration
-_SQRT2 = math.sqrt(2.0)
 
 
 def hermite_poly(n: int, x):
@@ -109,8 +108,8 @@ def hg_field(mode: HGMode, p: DetectorPoint) -> complex:
     r2 = p.x**2 + p.y**2
     amp = (
         mode.norm_constant / w
-        * hermite_poly(mode.m, p.x * _SQRT2 / w)
-        * hermite_poly(mode.n, p.y * _SQRT2 / w)
+        * hermite_poly(mode.m, p.x * SQRT2 / w)
+        * hermite_poly(mode.n, p.y * SQRT2 / w)
         * np.exp(-r2 / w**2)
     )
     if z == 0.0:

@@ -1,5 +1,10 @@
 """Optical elements and the circuit engine.
 
+Each element type defines its physics once: `ports()` gives its input paths,
+its output paths and the polarization basis of its rule (None: any basis), and
+`mode_map(modes)` the single-photon images of modes on its inputs written in
+that basis.  `apply_element` lifts this rule to the pair state.
+
 The beam splitter is 50-50 and symmetric: transmission amplitude 1/sqrt(2),
 reflection i/sqrt(2).  A reflection flips the transverse y-coordinate, so a
 photon with odd y-parity acquires an extra sign on reflection; the
@@ -13,20 +18,23 @@ Delays only record their offset on the state (distinguishability is applied
 statistically by the analysis layer).
 
 Circuits are ordered element lists over a registry of named paths, applied
-left to right; every element conserves the photon-pair norm.
+left to right; every element conserves the photon-pair norm.  The JSON schema
+follows the element dataclasses' fields, under the names in `ELEMENT_TYPES`.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import MISSING, Field, asdict, dataclass, fields
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
 from .twophoton import (
     H,
     ODD,
+    SQRT2,
+    ModeMap,
     PhotonMode,
     TwoPhotonState,
     V,
@@ -35,11 +43,15 @@ from .twophoton import (
     rebase_path,
 )
 
-SQRT2 = math.sqrt(2.0)
+Ports = Tuple[Tuple[str, ...], Tuple[str, ...], Optional[float]]  # (ins, outs, basis)
 
 
 class CircuitSchemaError(ValueError):
     """Raised for malformed circuit documents."""
+
+
+def _sigma(parity: str, flips: bool) -> float:
+    return -1.0 if (flips and parity == ODD) else 1.0
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,19 @@ class BeamSplitter:
     out1: str
     out2: str
     reflect_flips_y: bool = True
+
+    def ports(self) -> Ports:
+        return (self.in1, self.in2), (self.out1, self.out2), H
+
+    def mode_map(self, modes: Iterable[PhotonMode]) -> ModeMap:
+        """a(in1) -> [a(out1) + i sigma(parity) a(out2)]/sqrt(2); mirrored for in2."""
+        routes = {self.in1: (self.out1, self.out2), self.in2: (self.out2, self.out1)}
+        mapping = {}
+        for m in modes:
+            straight, cross = routes[m.path]
+            refl = 1j * _sigma(m.parity, self.reflect_flips_y) / SQRT2
+            mapping[m] = ((m.with_path(straight), 1.0 / SQRT2), (m.with_path(cross), refl))
+        return mapping
 
 
 @dataclass(frozen=True)
@@ -65,6 +90,21 @@ class PolarizingBS:
         if not 0.0 <= a < 180.0:
             raise ValueError("basis_angle must lie in [0, 180)")
 
+    def ports(self) -> Ports:
+        ins = (self.in1,) if self.in2 is None else (self.in1, self.in2)
+        return ins, (self.out_t, self.out_r), self.basis_angle
+
+    def mode_map(self, modes: Iterable[PhotonMode]) -> ModeMap:
+        theta = normalize_angle(self.basis_angle)
+        mapping = {}
+        for m in modes:
+            transmit = m.pol == theta  # otherwise theta + 90, the other basis label
+            # in1 transmits to out_t and reflects to out_r, in2 the other way round
+            out = self.out_t if transmit == (m.path == self.in1) else self.out_r
+            amp = 1.0 if transmit else 1j * _sigma(m.parity, self.reflect_flips_y)
+            mapping[m] = ((m.with_path(out), amp),)
+        return mapping
+
 
 @dataclass(frozen=True)
 class WavePlate:
@@ -76,11 +116,28 @@ class WavePlate:
         if self.kind not in ("half", "quarter"):
             raise ValueError("wave plate kind must be 'half' or 'quarter'")
 
+    def ports(self) -> Ports:
+        return (self.path,), (self.path,), H
+
+    def mode_map(self, modes: Iterable[PhotonMode]) -> ModeMap:
+        jones = waveplate_jones(self.kind, self.fast_axis)
+        mapping = {}
+        for m in modes:
+            col = 0 if m.pol == H else 1
+            mapping[m] = ((m.with_pol(H), jones[0, col]), (m.with_pol(V), jones[1, col]))
+        return mapping
+
 
 @dataclass(frozen=True)
 class Delay:
     path: str
     delta: float  # meters
+
+    def ports(self) -> Ports:
+        return (self.path,), (self.path,), None
+
+    def mode_map(self, modes: Iterable[PhotonMode]) -> ModeMap:
+        return {}  # amplitudes are untouched
 
 
 @dataclass(frozen=True)
@@ -88,16 +145,22 @@ class Mirror:
     path: str
     flips_y: bool = True
 
+    def ports(self) -> Ports:
+        return (self.path,), (self.path,), None
 
-Element = Union[BeamSplitter, PolarizingBS, WavePlate, Delay, Mirror]
+    def mode_map(self, modes: Iterable[PhotonMode]) -> ModeMap:
+        return {m: ((m, -1.0),) for m in modes if self.flips_y and m.parity == ODD}
 
 
-def _element_paths(el: Element) -> Tuple[str, ...]:
-    if isinstance(el, BeamSplitter):
-        return (el.in1, el.in2, el.out1, el.out2)
-    if isinstance(el, PolarizingBS):
-        return tuple(p for p in (el.in1, el.in2, el.out_t, el.out_r) if p is not None)
-    return (el.path,)
+ELEMENT_TYPES = {
+    "beam_splitter": BeamSplitter,
+    "polarizing_bs": PolarizingBS,
+    "wave_plate": WavePlate,
+    "delay": Delay,
+    "mirror": Mirror,
+}
+_TYPE_NAMES = {cls: name for name, cls in ELEMENT_TYPES.items()}
+Element = Union[tuple(ELEMENT_TYPES.values())]
 
 
 @dataclass(frozen=True)
@@ -114,77 +177,16 @@ class Circuit:
         if len(registry) != len(self.paths):
             raise ValueError("duplicate path labels in registry")
         for el in self.elements:
-            for p in _element_paths(el):
+            ins, outs, _ = el.ports()
+            if len(set(ins)) != len(ins) or len(set(outs)) != len(outs):
+                raise ValueError(f"{_TYPE_NAMES[type(el)]} element repeats a path among "
+                                 f"its inputs {list(ins)} or its outputs {list(outs)}")
+            for p in ins + outs:
                 if p not in registry:
                     raise ValueError(f"element references unregistered path {p!r}")
         for p in self.inputs:
             if p not in registry:
                 raise ValueError(f"input path {p!r} not registered")
-
-
-def _sigma(parity: str, flips: bool) -> float:
-    return -1.0 if (flips and parity == ODD) else 1.0
-
-
-def _modes_on(state: TwoPhotonState, paths: Sequence[str]) -> List[PhotonMode]:
-    seen = {}
-    for m1, m2 in state.terms:
-        for m in (m1, m2):
-            if m.path in paths:
-                seen[m] = None
-    return list(seen)
-
-
-def _check_outputs_free(state: TwoPhotonState, ins: Sequence[str], outs: Sequence[str]) -> None:
-    populated = state.paths()
-    blocked = (set(outs) & populated) - set(ins)
-    if blocked:
-        raise ValueError(f"output paths already populated: {sorted(blocked)}")
-
-
-def apply_beam_splitter(state: TwoPhotonState, bs: BeamSplitter) -> TwoPhotonState:
-    """50-50 symmetric splitter lifted to the pair state.
-
-    a(in1) -> [a(out1) + i sigma(parity) a(out2)]/sqrt(2) and the mirrored rule
-    for in2; polarization-independent, so both inputs are first rewritten in
-    the common h/v basis.
-    """
-    _check_outputs_free(state, (bs.in1, bs.in2), (bs.out1, bs.out2))
-    state = rebase_path(state, bs.in1, H)
-    state = rebase_path(state, bs.in2, H)
-    mapping = {}
-    for m in _modes_on(state, (bs.in1, bs.in2)):
-        s = _sigma(m.parity, bs.reflect_flips_y)
-        if m.path == bs.in1:
-            straight, cross = bs.out1, bs.out2
-        else:
-            straight, cross = bs.out2, bs.out1
-        mapping[m] = (
-            (m.with_path(straight), 1.0 / SQRT2),
-            (m.with_path(cross), 1j * s / SQRT2),
-        )
-    return apply_mode_map(state, mapping)
-
-
-def apply_pbs(state: TwoPhotonState, pbs: PolarizingBS) -> TwoPhotonState:
-    """Polarizing splitter in the rotated basis {theta, theta+90}."""
-    ins = tuple(p for p in (pbs.in1, pbs.in2) if p is not None)
-    _check_outputs_free(state, ins, (pbs.out_t, pbs.out_r))
-    theta = normalize_angle(pbs.basis_angle)
-    phi = normalize_angle(theta + 90.0)
-    for p in ins:
-        state = rebase_path(state, p, theta)
-    mapping = {}
-    for m in _modes_on(state, ins):
-        refl = 1j * _sigma(m.parity, pbs.reflect_flips_y)
-        first = m.path == pbs.in1
-        if m.pol == theta:
-            mapping[m] = ((m.with_path(pbs.out_t if first else pbs.out_r), 1.0),)
-        elif m.pol == phi:
-            mapping[m] = ((m.with_path(pbs.out_r if first else pbs.out_t), refl),)
-        else:  # pragma: no cover - rebase guarantees one of the two labels
-            raise AssertionError("mode not in PBS basis after rebase")
-    return apply_mode_map(state, mapping)
 
 
 def waveplate_jones(kind: str, fast_axis: float) -> np.ndarray:
@@ -200,48 +202,26 @@ def waveplate_jones(kind: str, fast_axis: float) -> np.ndarray:
     return rot @ np.diag([1.0, np.exp(-1j * delta)]) @ rot.T
 
 
-def apply_waveplate(state: TwoPhotonState, wp: WavePlate) -> TwoPhotonState:
-    state = rebase_path(state, wp.path, H)
-    jones = waveplate_jones(wp.kind, wp.fast_axis)
-    mapping = {}
-    for m in _modes_on(state, (wp.path,)):
-        col = 0 if m.pol == H else 1
-        mapping[m] = (
-            (m.with_pol(H), jones[0, col]),
-            (m.with_pol(V), jones[1, col]),
-        )
-    return apply_mode_map(state, mapping)
-
-
-def apply_delay(state: TwoPhotonState, delay: Delay) -> TwoPhotonState:
-    """Record the optical delay; amplitudes are untouched."""
-    delays = dict(state.delays)
-    delays[delay.path] = delays.get(delay.path, 0.0) + delay.delta
-    return TwoPhotonState(dict(state.terms), delays)
-
-
-def apply_mirror(state: TwoPhotonState, mirror: Mirror) -> TwoPhotonState:
-    if not mirror.flips_y:
-        return state
-    mapping = {}
-    for m in _modes_on(state, (mirror.path,)):
-        if m.parity == ODD:
-            mapping[m] = ((m, -1.0),)
+def apply_element(state: TwoPhotonState, el: Element) -> TwoPhotonState:
+    """Lift the element's single-photon rule to the pair state."""
+    if isinstance(el, Delay):  # bookkeeping only
+        delays = {**state.delays, el.path: state.delays.get(el.path, 0.0) + el.delta}
+        return TwoPhotonState(dict(state.terms), delays)
+    ins, outs, basis = el.ports()
+    fresh = set(outs).difference(ins)
+    blocked = fresh and fresh & state.paths()  # in-place elements skip the scan
+    if blocked:
+        raise ValueError(f"output paths already populated: {sorted(blocked)}")
+    if basis is not None:
+        for p in ins:
+            state = rebase_path(state, p, basis)
+    on_inputs = dict.fromkeys(m for pair in state.terms for m in pair if m.path in ins)
+    mapping = el.mode_map(on_inputs)
     return apply_mode_map(state, mapping) if mapping else state
 
 
-def apply_element(state: TwoPhotonState, el: Element) -> TwoPhotonState:
-    if isinstance(el, BeamSplitter):
-        return apply_beam_splitter(state, el)
-    if isinstance(el, PolarizingBS):
-        return apply_pbs(state, el)
-    if isinstance(el, WavePlate):
-        return apply_waveplate(state, el)
-    if isinstance(el, Delay):
-        return apply_delay(state, el)
-    if isinstance(el, Mirror):
-        return apply_mirror(state, el)
-    raise TypeError(f"unknown element {el!r}")
+# per-type names kept for existing callers
+apply_pbs = apply_waveplate = apply_delay = apply_element
 
 
 def run_circuit(circuit: Circuit, state: TwoPhotonState) -> TwoPhotonState:
@@ -266,56 +246,45 @@ def run_circuit(circuit: Circuit, state: TwoPhotonState) -> TwoPhotonState:
 # JSON schema: {"paths": [...], "elements": [{"type": ..., ...}, ...]}
 
 
-def element_to_json(el: Element) -> dict:
-    if isinstance(el, BeamSplitter):
-        return {"type": "beam_splitter", "in1": el.in1, "in2": el.in2,
-                "out1": el.out1, "out2": el.out2, "reflect_flips_y": el.reflect_flips_y}
-    if isinstance(el, PolarizingBS):
-        return {"type": "polarizing_bs", "in1": el.in1, "in2": el.in2,
-                "out_t": el.out_t, "out_r": el.out_r,
-                "basis_angle": el.basis_angle, "reflect_flips_y": el.reflect_flips_y}
-    if isinstance(el, WavePlate):
-        return {"type": "wave_plate", "path": el.path, "kind": el.kind,
-                "fast_axis": el.fast_axis}
-    if isinstance(el, Delay):
-        return {"type": "delay", "path": el.path, "delta": el.delta}
-    if isinstance(el, Mirror):
-        return {"type": "mirror", "path": el.path, "flips_y": el.flips_y}
-    raise TypeError(f"unknown element {el!r}")
-
-
-def _require(doc: dict, key: str, el_type: str):
-    if key not in doc:
-        raise CircuitSchemaError(f"{el_type} element missing field {key!r}")
-    return doc[key]
+def _read_field(el_type: str, f: Field, value):
+    """Check a JSON value against its field's annotation, a string under
+    postponed evaluation: "str", "Optional[str]", "bool" or "float"."""
+    if f.type == "float":
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number):
+            return number
+        expected = "a finite number"
+    elif f.type == "bool":
+        if isinstance(value, bool):
+            return value
+        expected = "true or false"
+    else:
+        if isinstance(value, str) or (value is None and f.default is None):
+            return value
+        expected = "a string"
+    raise CircuitSchemaError(f"{el_type} field {f.name!r} must be {expected}, got {value!r}")
 
 
 def element_from_json(doc: dict) -> Element:
     if not isinstance(doc, dict) or "type" not in doc:
         raise CircuitSchemaError("element must be an object with a 'type' field")
     t = doc["type"]
+    cls = ELEMENT_TYPES.get(t) if isinstance(t, str) else None
+    if cls is None:
+        raise CircuitSchemaError(f"unknown element type {t!r}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in doc:
+            kwargs[f.name] = _read_field(t, f, doc[f.name])
+        elif f.default is MISSING:
+            raise CircuitSchemaError(f"{t} element missing field {f.name!r}")
     try:
-        if t == "beam_splitter":
-            return BeamSplitter(
-                in1=_require(doc, "in1", t), in2=_require(doc, "in2", t),
-                out1=_require(doc, "out1", t), out2=_require(doc, "out2", t),
-                reflect_flips_y=bool(doc.get("reflect_flips_y", True)))
-        if t == "polarizing_bs":
-            return PolarizingBS(
-                in1=_require(doc, "in1", t), in2=doc.get("in2"),
-                out_t=_require(doc, "out_t", t), out_r=_require(doc, "out_r", t),
-                basis_angle=float(doc.get("basis_angle", 0.0)),
-                reflect_flips_y=bool(doc.get("reflect_flips_y", True)))
-        if t == "wave_plate":
-            return WavePlate(path=_require(doc, "path", t), kind=_require(doc, "kind", t),
-                             fast_axis=float(doc.get("fast_axis", 0.0)))
-        if t == "delay":
-            return Delay(path=_require(doc, "path", t), delta=float(_require(doc, "delta", t)))
-        if t == "mirror":
-            return Mirror(path=_require(doc, "path", t), flips_y=bool(doc.get("flips_y", True)))
-    except (ValueError, TypeError) as exc:
+        return cls(**kwargs)
+    except ValueError as exc:
         raise CircuitSchemaError(f"bad {t} element: {exc}") from exc
-    raise CircuitSchemaError(f"unknown element type {t!r}")
 
 
 def circuit_to_json(circuit: Circuit) -> dict:
@@ -324,7 +293,7 @@ def circuit_to_json(circuit: Circuit) -> dict:
         "name": circuit.name,
         "paths": list(circuit.paths),
         "inputs": list(circuit.inputs),
-        "elements": [element_to_json(el) for el in circuit.elements],
+        "elements": [{"type": _TYPE_NAMES[type(el)], **asdict(el)} for el in circuit.elements],
     }
     if circuit.layout is not None:
         doc["layout"] = circuit.layout

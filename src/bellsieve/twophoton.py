@@ -92,9 +92,8 @@ def pair_key(m1: PhotonMode, m2: PhotonMode) -> PairKey:
 class TwoPhotonState:
     """Normalized amplitude map over unordered photon-mode pairs.
 
-    `delays` carries accumulated optical delays per path (plumbing written by
-    delay elements and read by the HOM-scan analysis; it does not affect
-    amplitudes).
+    `delays` carries accumulated optical delays per path, written by delay
+    elements; nothing reads it yet and it does not affect amplitudes.
     """
 
     terms: Dict[PairKey, complex]

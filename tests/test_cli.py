@@ -132,6 +132,30 @@ def test_exit_code_3_on_schema_error(tmp_path: Path):
     assert "schema" in cp.stderr
 
 
+def _edited_incomplete_bsa(tmp_path: Path, edit) -> str:
+    doc = json.loads((Path(SRC) / "bellsieve" / "fixtures" / "incomplete_bsa.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_exit_code_3_on_string_boolean(tmp_path: Path):
+    circuit = _edited_incomplete_bsa(
+        tmp_path, lambda doc: doc["elements"][0].update(reflect_flips_y="false"))
+    cp = run_cli("bsa", "--circuit", circuit, "--pump", "hg01", "--all-bell")
+    assert cp.returncode == 3
+    assert "reflect_flips_y" in cp.stderr
+
+
+def test_exit_code_3_on_non_finite_number(tmp_path: Path):
+    circuit = _edited_incomplete_bsa(tmp_path, lambda doc: doc["elements"].append(
+        {"type": "wave_plate", "path": "A_h", "kind": "half", "fast_axis": math.nan}))
+    cp = run_cli("bsa", "--circuit", circuit, "--pump", "hg01", "--all-bell")
+    assert cp.returncode == 3
+    assert "fast_axis" in cp.stderr and "Traceback" not in cp.stderr
+
+
 def test_outputs_are_byte_stable(tmp_path: Path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):

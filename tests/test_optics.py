@@ -265,6 +265,27 @@ def test_circuit_json_round_trip(tmp_path):
     {"paths": ["1", "2"], "elements": [
         {"type": "polarizing_bs", "in1": "1", "out_t": "1", "out_r": "2",
          "basis_angle": 200.0}]},
+    # booleans must be JSON true/false
+    {"paths": ["1", "2"], "elements": [
+        {"type": "beam_splitter", "in1": "1", "in2": "2", "out1": "1", "out2": "2",
+         "reflect_flips_y": "false"}]},
+    {"paths": ["1", "2"], "elements": [
+        {"type": "beam_splitter", "in1": "1", "in2": "2", "out1": "1", "out2": "2",
+         "reflect_flips_y": 0}]},
+    {"paths": ["1"], "elements": [{"type": "mirror", "path": "1", "flips_y": "false"}]},
+    {"paths": ["1"], "elements": [{"type": "mirror", "path": "1", "flips_y": 1}]},
+    # numbers must be finite
+    {"paths": ["1"], "elements": [
+        {"type": "wave_plate", "path": "1", "kind": "half", "fast_axis": math.nan}]},
+    {"paths": ["1"], "elements": [
+        {"type": "wave_plate", "path": "1", "kind": "half", "fast_axis": math.inf}]},
+    {"paths": ["1"], "elements": [{"type": "delay", "path": "1", "delta": math.nan}]},
+    {"paths": ["1"], "elements": [{"type": "delay", "path": "1", "delta": -math.inf}]},
+    # an element's inputs are distinct paths, and so are its outputs
+    {"paths": ["1", "A", "B"], "elements": [
+        {"type": "beam_splitter", "in1": "1", "in2": "1", "out1": "A", "out2": "B"}]},
+    {"paths": ["1", "2", "A"], "elements": [
+        {"type": "polarizing_bs", "in1": "1", "in2": "2", "out_t": "A", "out_r": "A"}]},
 ])
 def test_schema_errors(doc):
     with pytest.raises(CircuitSchemaError):
