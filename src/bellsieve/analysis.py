@@ -6,8 +6,10 @@ insensitive to transverse parity and temporal tags, and a two-photon hit at a
 single detector yields one click, i.e. no coincidence.
 
 Partial distinguishability is handled statistically: a run with overlap o
-mixes the interfering distribution (matching temporal tags) with weight o and
-the fully distinguishable one (orthogonal tags) with weight 1-o.
+mixes the interfering signature table (matching temporal tags) with weight o
+and the distinguishable one (orthogonal tags) with weight 1-o.  Each table is
+computed once per input set and `score_success` mixes them; a HOM scan mixes
+its two cross-output probabilities the same way.
 
 The dense oracle rebuilds every circuit as an explicit single-photon unitary
 over (path, polarization, parity, temporal) modes in the global h/v basis and
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .hgmodes import PHOTON_WAVELENGTH, PumpProfile
 from .optics import (
     BeamSplitter,
     Circuit,
+    CircuitSchemaError,
     Delay,
     Element,
     Mirror,
@@ -60,6 +63,9 @@ FILTER_FWHM = 1e-9  # interference filter bandwidth
 DEFAULT_SIGMA_L = PHOTON_WAVELENGTH**2 / FILTER_FWHM  # ~493 um coherence length
 
 PORT_ANGLES = {"H": 0.0, "V": 90.0, "45": 45.0, "45b": 135.0}
+
+INTERFERING = (0, 0)  # temporal tags of the two photons; orthogonal tags never interfere
+DISTINGUISHABLE = (0, 1)
 
 Event = Tuple[str, str]
 
@@ -106,9 +112,15 @@ class DetectorLayout:
 
 
 def layout_from_json(doc: dict) -> DetectorLayout:
+    detectors = doc.get("detectors") if isinstance(doc, dict) else None
+    if not isinstance(detectors, list):
+        raise CircuitSchemaError("layout must hold a 'detectors' list")
+    for d in detectors:
+        if not (isinstance(d, dict) and all(k in d for k in ("id", "path", "port"))):
+            raise CircuitSchemaError(f"layout detector {d!r} needs 'id', 'path' and 'port'")
     dets = tuple(
         Detector(id=str(d["id"]), path=str(d["path"]), port=str(d["port"]))
-        for d in doc["detectors"]
+        for d in detectors
     )
     return DetectorLayout(dets)
 
@@ -268,33 +280,28 @@ class OverlapModel:
         return math.exp(-((delta / self.sigma_l) ** 2))
 
 
-def _hom_circuit() -> Circuit:
-    return Circuit(
+def _hom_cross_outputs(kind: BellKind, pump: PumpProfile) -> Tuple[float, float]:
+    """Probability that the two photons of `kind` leave a 50-50 splitter on
+    different paths: (interfering, distinguishable)."""
+    circuit = Circuit(
         paths=("1", "2", "A", "B"),
         elements=(BeamSplitter("1", "2", "A", "B"),),
         inputs=("1", "2"),
         name="hom",
     )
-
-
-def cross_output_probability(state: TwoPhotonState, circuit: Optional[Circuit] = None) -> float:
-    """Probability that the two photons leave on different paths."""
-    circ = circuit or _hom_circuit()
-    out = run_circuit(circ, state)
-    return sum(abs(a) ** 2 for (m1, m2), a in out.terms.items() if m1.path != m2.path)
-
-
-def _bs_probs(kind: BellKind, pump: PumpProfile, temporal: Tuple[int, int]) -> float:
-    state = attach_pump_parity(bell_state(kind, "1", "2", temporal=temporal), pump)
-    return cross_output_probability(state)
+    probs = []
+    for temporal in (INTERFERING, DISTINGUISHABLE):
+        state = attach_pump_parity(bell_state(kind, "1", "2", temporal=temporal), pump)
+        out = run_circuit(circuit, state)
+        probs.append(sum(abs(a) ** 2 for (m1, m2), a in out.terms.items() if m1.path != m2.path))
+    return probs[0], probs[1]
 
 
 def coincidence_probability(kind: BellKind, pump: PumpProfile, overlap: float) -> float:
     """Cross-output coincidence probability at a 50-50 splitter, mixed model."""
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must lie in [0, 1]")
-    p_int = _bs_probs(kind, pump, (0, 0))
-    p_dist = _bs_probs(kind, pump, (0, 1))
+    p_int, p_dist = _hom_cross_outputs(kind, pump)
     return overlap * p_int + (1.0 - overlap) * p_dist
 
 
@@ -305,8 +312,7 @@ def hom_scan(
     model: OverlapModel = OverlapModel(),
 ) -> List[Tuple[float, float]]:
     """Coincidence probability vs. relative delay (meters)."""
-    p_int = _bs_probs(kind, pump, (0, 0))
-    p_dist = _bs_probs(kind, pump, (0, 1))
+    p_int, p_dist = _hom_cross_outputs(kind, pump)
     curve = []
     for d in deltas:
         o = model.overlap(d)
@@ -330,7 +336,7 @@ def hom_visibility(curve: Sequence[Tuple[float, float]]) -> Tuple[str, float]:
 def prepare_inputs(
     circuit: Circuit,
     pump: PumpProfile,
-    temporal: Tuple[int, int] = (0, 0),
+    temporal: Tuple[int, int] = INTERFERING,
     hyper: Optional[bool] = None,
 ) -> List[Tuple[str, TwoPhotonState]]:
     """All four Bell inputs for a circuit, pump parity attached.
@@ -387,15 +393,14 @@ class SuccessReport:
         }
 
 
-def success_probability(
-    circuit: Circuit,
-    layout: DetectorLayout,
-    pump: PumpProfile,
+def score_success(
+    ideal: SignatureTable,
+    distinguishable: SignatureTable,
     overlap: float,
-    priors: Optional[Mapping[str, float]] = None,
     policy: str = "strict",
 ) -> SuccessReport:
-    """Discrimination success under the mixed (partial-overlap) model.
+    """Discrimination success under the mixed (partial-overlap) model, from
+    the ideal and the distinguishable signature tables of equally likely inputs.
 
     Events are assigned to Bell-state classes by the ideal (overlap 1) table;
     two-photons-at-one-detector events are invisible to threshold detectors
@@ -407,23 +412,17 @@ def success_probability(
         raise ValueError("overlap must lie in [0, 1]")
     if policy not in ("strict", "renormalize"):
         raise ValueError("policy must be 'strict' or 'renormalize'")
-    ideal_inputs = prepare_inputs(circuit, pump)
-    ideal = signature_table(circuit, ideal_inputs, layout)
     report = classify(ideal)
     assignment = report.assignment()
-    dist_inputs = dict(prepare_inputs(circuit, pump, temporal=(0, 1)))
 
-    labels = [lab for lab, _ in ideal_inputs]
-    if priors is None:
-        priors = {lab: 1.0 / len(labels) for lab in labels}
+    labels = list(ideal.entries)
+    prior = 1.0 / len(labels)
     per_state: Dict[str, StateSuccess] = {}
     for label in labels:
-        p_ideal = ideal.entries[label]
-        p_dist = event_distribution(run_circuit(circuit, dist_inputs[label]), layout)
         mixed: Dict[Event, float] = {}
-        for ev, p in p_ideal.items():
+        for ev, p in ideal.entries[label].items():
             mixed[ev] = mixed.get(ev, 0.0) + overlap * p
-        for ev, p in p_dist.items():
+        for ev, p in distinguishable.entries[label].items():
             mixed[ev] = mixed.get(ev, 0.0) + (1.0 - overlap) * p
         true_class = report.class_of(label)
         correct = wrong = discarded = 0.0
@@ -445,8 +444,8 @@ def success_probability(
             discarded=discarded,
             conditional=correct / seen if seen > 0 else 0.0,
         )
-    avg = sum(priors[lab] * per_state[lab].success for lab in labels)
-    avg_cond = sum(priors[lab] * per_state[lab].conditional for lab in labels)
+    avg = sum(prior * per_state[lab].success for lab in labels)
+    avg_cond = sum(prior * per_state[lab].conditional for lab in labels)
     if policy == "renormalize":
         avg = avg_cond
     return SuccessReport(
@@ -457,6 +456,19 @@ def success_probability(
         policy=policy,
         classes=report.classes,
     )
+
+
+def success_probability(
+    circuit: Circuit,
+    layout: DetectorLayout,
+    pump: PumpProfile,
+    overlap: float,
+    policy: str = "strict",
+) -> SuccessReport:
+    """`score_success` on the circuit's four Bell inputs."""
+    ideal = signature_table(circuit, prepare_inputs(circuit, pump), layout)
+    dist = signature_table(circuit, prepare_inputs(circuit, pump, DISTINGUISHABLE), layout)
+    return score_success(ideal, dist, overlap, policy)
 
 
 # ---------------------------------------------------------------------------

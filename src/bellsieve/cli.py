@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 from importlib import resources
 from typing import List, Optional, Sequence, Tuple
 
-from . import analysis, hgmodes, twophoton
+from . import analysis, hgmodes
 from .analysis import OverlapModel, layout_from_json
 from .hgmodes import DetectorPoint, PumpProfile, coincidence_amplitude
 from .optics import Circuit, CircuitSchemaError, load_circuit
@@ -33,6 +34,14 @@ class ConfigError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def finite_float(text: str) -> float:
+    """argparse type of every float option: NaN and infinities are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def fixtures_dir() -> str:
@@ -87,6 +96,8 @@ def parse_delays(spec: str) -> List[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad delay grid {spec!r}: {exc}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"delay grid {spec!r} needs finite numbers")
     if step <= 0 or hi < lo:
         raise ConfigError("delay grid needs step > 0 and to >= from")
     out = []
@@ -111,6 +122,8 @@ def parse_grid(spec: str) -> Tuple[float, float, int]:
         n = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid {spec!r}: {exc}") from exc
+    if not all(map(math.isfinite, (lo, hi))):
+        raise ConfigError(f"grid {spec!r} needs finite bounds")
     if n < 2 or hi <= lo:
         raise ConfigError("grid needs npoints >= 2 and max > min")
     return lo, hi, n
@@ -118,8 +131,11 @@ def parse_grid(spec: str) -> Tuple[float, float, int]:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -136,27 +152,20 @@ def cmd_bsa(args: argparse.Namespace) -> int:
     layout = layout_from_json(circuit.layout)
 
     if args.all_bell or args.all_hyper:
-        hyper = bool(args.all_hyper)
-        inputs = analysis.prepare_inputs(circuit, pump, hyper=hyper)
+        kind, hyper = None, bool(args.all_hyper)
     elif args.state:
         kind, hyper = parse_state_kind(args.state)
-        if hyper:
-            state = twophoton.hyper_state(kind, circuit.inputs)
-        else:
-            if len(circuit.inputs) != 2:
-                raise ConfigError("plain Bell input needs a two-input circuit")
-            state = twophoton.bell_state(kind, circuit.inputs[0], circuit.inputs[1])
-        inputs = [(args.state, twophoton.attach_pump_parity(state, pump))]
     else:
         raise ConfigError("choose --all-bell, --all-hyper or --state")
+    inputs = analysis.prepare_inputs(circuit, pump, hyper=hyper)
+    if kind is not None:
+        inputs = [(args.state, state) for k, state in inputs if k == kind]
+    if not 0.0 <= args.overlap <= 1.0:
+        raise ConfigError("overlap must lie in [0, 1]")
 
     table = analysis.signature_table(
         circuit, inputs, layout, pump_parity=pump.joint_parity, overlap=args.overlap
     )
-    report = analysis.classify(table)
-    success = analysis.success_probability(
-        circuit, layout, pump, overlap=args.overlap, policy=args.policy
-    ) if len(inputs) == 4 else None
 
     if args.format == "csv":
         lines = ["state,event,probability"]
@@ -166,6 +175,7 @@ def cmd_bsa(args: argparse.Namespace) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0
 
+    report = analysis.classify(table)
     doc = {
         "circuit": circuit.name or args.circuit,
         "pump": {
@@ -182,7 +192,10 @@ def cmd_bsa(args: argparse.Namespace) -> int:
             "coincidence_basis_only": analysis.coincidence_basis_only(table),
         },
     }
-    if success is not None:
+    if len(inputs) == 4:
+        dist_inputs = analysis.prepare_inputs(circuit, pump, analysis.DISTINGUISHABLE, hyper)
+        dist = analysis.signature_table(circuit, dist_inputs, layout)
+        success = analysis.score_success(table, dist, args.overlap, args.policy)
         doc["report"]["success"] = success.to_json()
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -194,7 +207,7 @@ def cmd_hom(args: argparse.Namespace) -> int:
     if hyper:
         raise ConfigError("hom scans take plain Bell states")
     deltas_um = parse_delays(args.delays)
-    sigma_l = args.sigma_l * 1e-6 if args.sigma_l else analysis.DEFAULT_SIGMA_L
+    sigma_l = analysis.DEFAULT_SIGMA_L if args.sigma_l is None else args.sigma_l * 1e-6
     model = OverlapModel(sigma_l=sigma_l)
     curve = analysis.hom_scan(kind, pump, [d * 1e-6 for d in deltas_um], model)
     header = (
@@ -249,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_pump_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--pump", default="gauss",
                        help="pump profile: gauss | hg01 | hg(m,n) (default gauss)")
-        p.add_argument("--waist", type=float, default=hgmodes.DEFAULT_WAIST,
+        p.add_argument("--waist", type=finite_float, default=hgmodes.DEFAULT_WAIST,
                        help="pump waist in meters (default 1e-3)")
-        p.add_argument("--pump-wavelength", type=float, default=hgmodes.PUMP_WAVELENGTH,
+        p.add_argument("--pump-wavelength", type=finite_float, default=hgmodes.PUMP_WAVELENGTH,
                        help="pump wavelength in meters (default 351.1e-9)")
 
     p_bsa = sub.add_parser("bsa", help="signature table + discrimination report")
@@ -263,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all-hyper", action="store_true",
                        help="all four hyperentangled inputs")
     group.add_argument("--state", help="single input state (psi+|psi-|phi+|phi-|hyper-...)")
-    p_bsa.add_argument("--overlap", type=float, default=1.0,
+    p_bsa.add_argument("--overlap", type=finite_float, default=1.0,
                        help="photon overlap o in [0,1] (default 1: ideal)")
     p_bsa.add_argument("--policy", choices=("strict", "renormalize"), default="strict",
                        help="scoring of events outside all signatures")
@@ -275,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_pump_opts(p_hom)
     p_hom.add_argument("--state", required=True, help="psi+|psi-|phi+|phi-")
     p_hom.add_argument("--delays", required=True, help="delay grid from:to:step in micrometers")
-    p_hom.add_argument("--sigma-l", type=float, default=None,
+    p_hom.add_argument("--sigma-l", type=finite_float, default=None,
                        help="coherence length in micrometers (default from the 1 nm filter)")
     p_hom.add_argument("--out", help="output path (default stdout)")
     p_hom.add_argument("--format", choices=("csv",), default="csv")
@@ -284,11 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_field = sub.add_parser("field", help="coincidence-amplitude map over (x1, y1)")
     add_pump_opts(p_field)
     p_field.add_argument("--state", required=True, help="psi+|psi-|phi+|phi-")
-    p_field.add_argument("--z", type=float, default=0.5, help="detection plane in meters")
+    p_field.add_argument("--z", type=finite_float, default=0.5, help="detection plane in meters")
     p_field.add_argument("--grid", default="-0.003:0.003:41",
                          help="transverse grid min:max:npoints in meters")
-    p_field.add_argument("--x2", type=float, default=0.0, help="fixed x2 (meters)")
-    p_field.add_argument("--y2", type=float, default=0.0, help="fixed y2 (meters)")
+    p_field.add_argument("--x2", type=finite_float, default=0.0, help="fixed x2 (meters)")
+    p_field.add_argument("--y2", type=finite_float, default=0.0, help="fixed y2 (meters)")
     p_field.add_argument("--out", help="output path (default stdout)")
     p_field.add_argument("--format", choices=("csv",), default="csv")
     p_field.set_defaults(func=cmd_field)
@@ -305,6 +318,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # e.g. the normalization of a very high-order pump
+        print(f"error: numeric overflow ({exc}); an input is out of range", file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,14 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from bellsieve import analysis, cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -19,6 +24,17 @@ def _env(extra=None):
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "bellsieve", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=_env())
+
+
+def run_main(capsys, *args: str):
+    """In-process `cli.main`: (exit code, stdout, stderr); an uncaught
+    exception fails the calling test."""
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_help():
@@ -179,3 +195,90 @@ def test_fixture_env_override(tmp_path: Path):
         env=_env({"BELLSIEVE_FIXTURES": str(tmp_path)}),
     )
     assert cp.returncode == 2  # fixture dir overridden to an empty directory
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--state", "psi-", "--overlap", "7"], "overlap must lie in [0, 1]"),
+    (["--state", "psi-", "--overlap", "nan"], "--overlap"),
+    (["--all-bell", "--format", "csv", "--overlap", "7"], "overlap must lie in [0, 1]"),
+], ids=["state-7", "state-nan", "csv-7"])
+def test_overlap_checked_in_every_bsa_mode(capsys, argv, message):
+    code, out, err = run_main(capsys, "bsa", "--circuit", "incomplete_bsa", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--state", "psi+", "--z", "nan"],
+    ["field", "--state", "psi+", "--grid=-0.001:nan:3"],
+    ["hom", "--state", "psi-", "--delays=0:10:5", "--sigma-l", "nan"],
+    ["hom", "--state", "psi-", "--delays=0:10:5", "--sigma-l", "0"],
+    ["bsa", "--circuit", "incomplete_bsa", "--all-bell", "--waist", "nan"],
+    ["bsa", "--circuit", "incomplete_bsa", "--all-bell", "--pump-wavelength", "inf"],
+    ["field", "--state", "psi+", "--pump", "hg(200,200)", "--grid=-0.001:0.001:3"],
+], ids=["z-nan", "grid-nan", "sigma-l-nan", "sigma-l-0", "waist-nan", "wavelength-inf",
+        "hg200-norm-overflow"])
+def test_out_of_range_arguments_exit_2(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == "" and err and "Traceback" not in err
+
+
+def test_hyper_state_on_two_input_circuit_names_the_need(capsys):
+    code, _, err = run_main(capsys, "bsa", "--circuit", "incomplete_bsa", "--state", "hyper-psi-")
+    assert code == 2
+    assert "hyperentangled inputs need four declared input paths" in err
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("delays", ["--delays=nan:10:1", "--delays=0:inf:1"])
+def test_non_finite_delay_grid_exits_2(delays):
+    # a grid that never ends would allocate without bound: run it capped
+    cp = subprocess.run(
+        [sys.executable, "-m", "bellsieve", "hom", "--state", "psi-", delays],
+        capture_output=True, text=True, env=_env({"OPENBLAS_NUM_THREADS": "1"}),
+        preexec_fn=_limit_memory, timeout=60)
+    assert cp.returncode == 2
+    assert cp.stdout == "" and "Traceback" not in cp.stderr
+
+
+def test_unwritable_out_path_exits_2(capsys, tmp_path: Path):
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = run_main(capsys, "bsa", "--circuit", "incomplete_bsa", "--all-bell",
+                            "--out", str(target))
+    assert code == 2
+    assert str(target) in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["layout"]["detectors"][0].pop("path"),
+    lambda doc: doc.update(layout={"detectors": "x"}),
+], ids=["detector-without-path", "detectors-not-a-list"])
+def test_exit_code_3_on_malformed_layout(capsys, tmp_path: Path, edit):
+    circuit = _edited_incomplete_bsa(tmp_path, edit)
+    code, _, err = run_main(capsys, "bsa", "--circuit", circuit, "--all-bell")
+    assert code == 3
+    assert "layout" in err
+
+
+@pytest.mark.parametrize("argv,runs", [
+    (["bsa", "--circuit", "complete_bsa", "--all-hyper", "--format", "json"], 8),
+    (["bsa", "--circuit", "complete_bsa", "--all-hyper", "--format", "csv"], 4),
+    (["bsa", "--circuit", "complete_bsa", "--state", "hyper-psi-"], 1),
+    (["hom", "--state", "psi-", "--delays=-900:900:25"], 2),
+], ids=["bsa-json", "bsa-csv", "bsa-state", "hom"])
+def test_each_table_is_computed_once(capsys, monkeypatch, argv, runs):
+    calls = []
+    run_circuit = analysis.run_circuit
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return run_circuit(*a, **kw)
+
+    monkeypatch.setattr(analysis, "run_circuit", counting)
+    code, _, _ = run_main(capsys, *argv)
+    assert code == 0
+    assert len(calls) == runs
