@@ -32,6 +32,9 @@ class ConfigError(ValueError):
     pass
 
 
+MAX_ROWS = 10**6  # output rows of one hom scan or field map, checked before allocating
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -100,6 +103,8 @@ def parse_delays(spec: str) -> List[float]:
         raise ConfigError(f"delay grid {spec!r} needs finite numbers")
     if step <= 0 or hi < lo:
         raise ConfigError("delay grid needs step > 0 and to >= from")
+    if (hi - lo) / step + 1 > MAX_ROWS:
+        raise ConfigError(f"delay grid {spec!r} has more than {MAX_ROWS} points")
     out = []
     k = 0
     while True:
@@ -126,6 +131,8 @@ def parse_grid(spec: str) -> Tuple[float, float, int]:
         raise ConfigError(f"grid {spec!r} needs finite bounds")
     if n < 2 or hi <= lo:
         raise ConfigError("grid needs npoints >= 2 and max > min")
+    if n * n > MAX_ROWS:
+        raise ConfigError(f"grid {spec!r} has {n}^2 points, more than {MAX_ROWS}")
     return lo, hi, n
 
 
@@ -242,9 +249,11 @@ def cmd_field(args: argparse.Namespace) -> int:
         for ix in range(n):
             x1 = lo + ix * step
             amp, _ = coincidence_amplitude(kind, pump, DetectorPoint(x1, y1, args.z), r2)
-            lines.append(
-                f"{_fmt(x1)},{_fmt(y1)},{_fmt(amp.real)},{_fmt(amp.imag)},{_fmt(abs(amp) ** 2)}"
-            )
+            abs2 = abs(amp) ** 2
+            if not math.isfinite(abs2):
+                raise ConfigError(f"amplitude at x1={_fmt(x1)}, y1={_fmt(y1)} is not finite; "
+                                  "the pump order is too high for this grid")
+            lines.append(f"{_fmt(x1)},{_fmt(y1)},{_fmt(amp.real)},{_fmt(amp.imag)},{_fmt(abs2)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

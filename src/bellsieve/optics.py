@@ -1,9 +1,9 @@
 """Optical elements and the circuit engine.
 
-Each element type defines its physics once: `ports()` gives its input paths,
-its output paths and the polarization basis of its rule (None: any basis), and
-`mode_map(modes)` the single-photon images of modes on its inputs written in
-that basis.  `apply_element` lifts this rule to the pair state.
+Each element type defines its physics once: `ports()` gives its input and
+output paths `(ins, outs)`, and `mode_map(modes)` the h/v images of h/v modes
+on its inputs.  `run_circuit` writes its input in h/v once, so every path stays
+in h/v, and `apply_element` lifts a rule to the pair state.
 
 The beam splitter is 50-50 and symmetric: transmission amplitude 1/sqrt(2),
 reflection i/sqrt(2).  A reflection flips the transverse y-coordinate, so a
@@ -13,9 +13,9 @@ photon with odd y-parity acquires an extra sign on reflection; the
 Polarizing beam splitters act in a rotated linear basis {theta, theta+90}:
 the theta component transmits (in1 -> out_t, in2 -> out_r), the orthogonal
 component reflects (in1 -> out_r, in2 -> out_t) with amplitude factor
-i * sigma(parity).  Wave plates are standard retarders about their fast axis.
-Delays only record their offset on the state (distinguishability is applied
-statistically by the analysis layer).
+i * sigma(parity); the rule is written in h/v.  Wave plates are standard
+retarders about their fast axis.  Delays only record their offset on the state
+(distinguishability is applied statistically by the analysis layer).
 
 Circuits are ordered element lists over a registry of named paths, applied
 left to right; every element conserves the photon-pair norm.  The JSON schema
@@ -39,11 +39,11 @@ from .twophoton import (
     TwoPhotonState,
     V,
     apply_mode_map,
-    normalize_angle,
-    rebase_path,
+    cosd,
+    rebase_all,
 )
 
-Ports = Tuple[Tuple[str, ...], Tuple[str, ...], Optional[float]]  # (ins, outs, basis)
+Ports = Tuple[Tuple[str, ...], Tuple[str, ...]]  # (ins, outs)
 
 
 class CircuitSchemaError(ValueError):
@@ -63,7 +63,7 @@ class BeamSplitter:
     reflect_flips_y: bool = True
 
     def ports(self) -> Ports:
-        return (self.in1, self.in2), (self.out1, self.out2), H
+        return (self.in1, self.in2), (self.out1, self.out2)
 
     def mode_map(self, modes: Iterable[PhotonMode]) -> ModeMap:
         """a(in1) -> [a(out1) + i sigma(parity) a(out2)]/sqrt(2); mirrored for in2."""
@@ -92,17 +92,18 @@ class PolarizingBS:
 
     def ports(self) -> Ports:
         ins = (self.in1,) if self.in2 is None else (self.in1, self.in2)
-        return ins, (self.out_t, self.out_r), self.basis_angle
+        return ins, (self.out_t, self.out_r)
 
     def mode_map(self, modes: Iterable[PhotonMode]) -> ModeMap:
-        theta = normalize_angle(self.basis_angle)
+        """Project on e(theta), transmitted, and e(theta + 90), reflected, in h/v."""
+        axes = (self.basis_angle, self.basis_angle + 90.0)
         mapping = {}
         for m in modes:
-            transmit = m.pol == theta  # otherwise theta + 90, the other basis label
-            # in1 transmits to out_t and reflects to out_r, in2 the other way round
-            out = self.out_t if transmit == (m.path == self.in1) else self.out_r
-            amp = 1.0 if transmit else 1j * _sigma(m.parity, self.reflect_flips_y)
-            mapping[m] = ((m.with_path(out), amp),)
+            outs = (self.out_t, self.out_r) if m.path == self.in1 else (self.out_r, self.out_t)
+            amps = (1.0, 1j * _sigma(m.parity, self.reflect_flips_y))
+            mapping[m] = tuple((PhotonMode(out, pol, m.parity, m.temporal), c)
+                               for axis, out, amp in zip(axes, outs, amps) for pol in (H, V)
+                               if (c := amp * cosd(m.pol - axis) * cosd(pol - axis)) != 0)
         return mapping
 
 
@@ -117,7 +118,7 @@ class WavePlate:
             raise ValueError("wave plate kind must be 'half' or 'quarter'")
 
     def ports(self) -> Ports:
-        return (self.path,), (self.path,), H
+        return (self.path,), (self.path,)
 
     def mode_map(self, modes: Iterable[PhotonMode]) -> ModeMap:
         jones = waveplate_jones(self.kind, self.fast_axis)
@@ -134,7 +135,7 @@ class Delay:
     delta: float  # meters
 
     def ports(self) -> Ports:
-        return (self.path,), (self.path,), None
+        return (self.path,), (self.path,)
 
     def mode_map(self, modes: Iterable[PhotonMode]) -> ModeMap:
         return {}  # amplitudes are untouched
@@ -146,7 +147,7 @@ class Mirror:
     flips_y: bool = True
 
     def ports(self) -> Ports:
-        return (self.path,), (self.path,), None
+        return (self.path,), (self.path,)
 
     def mode_map(self, modes: Iterable[PhotonMode]) -> ModeMap:
         return {m: ((m, -1.0),) for m in modes if self.flips_y and m.parity == ODD}
@@ -177,7 +178,7 @@ class Circuit:
         if len(registry) != len(self.paths):
             raise ValueError("duplicate path labels in registry")
         for el in self.elements:
-            ins, outs, _ = el.ports()
+            ins, outs = el.ports()
             if len(set(ins)) != len(ins) or len(set(outs)) != len(outs):
                 raise ValueError(f"{_TYPE_NAMES[type(el)]} element repeats a path among "
                                  f"its inputs {list(ins)} or its outputs {list(outs)}")
@@ -203,18 +204,15 @@ def waveplate_jones(kind: str, fast_axis: float) -> np.ndarray:
 
 
 def apply_element(state: TwoPhotonState, el: Element) -> TwoPhotonState:
-    """Lift the element's single-photon rule to the pair state."""
+    """Lift the element's single-photon rule to a pair state written in h/v."""
     if isinstance(el, Delay):  # bookkeeping only
         delays = {**state.delays, el.path: state.delays.get(el.path, 0.0) + el.delta}
         return TwoPhotonState(dict(state.terms), delays)
-    ins, outs, basis = el.ports()
+    ins, outs = el.ports()
     fresh = set(outs).difference(ins)
     blocked = fresh and fresh & state.paths()  # in-place elements skip the scan
     if blocked:
         raise ValueError(f"output paths already populated: {sorted(blocked)}")
-    if basis is not None:
-        for p in ins:
-            state = rebase_path(state, p, basis)
     on_inputs = dict.fromkeys(m for pair in state.terms for m in pair if m.path in ins)
     mapping = el.mode_map(on_inputs)
     return apply_mode_map(state, mapping) if mapping else state
@@ -225,14 +223,14 @@ apply_pbs = apply_waveplate = apply_delay = apply_element
 
 
 def run_circuit(circuit: Circuit, state: TwoPhotonState) -> TwoPhotonState:
-    """Apply the circuit's elements left to right and renormalize exactly.
+    """Write the state in h/v, apply the elements left to right, renormalize exactly.
 
     A norm drift beyond 1e-9 indicates a broken element map and raises.
     """
     unknown = state.paths() - set(circuit.paths)
     if unknown:
         raise ValueError(f"state occupies unregistered paths: {sorted(unknown)}")
-    out = state
+    out = rebase_all(state, H)
     for el in circuit.elements:
         out = apply_element(out, el)
     norm = math.sqrt(out.norm_sq())

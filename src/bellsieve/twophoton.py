@@ -9,8 +9,8 @@ modes i != j the basis vector is a_i^dag a_j^dag |0>, and for i == j it is
 (a_i^dag)^2 |0> / sqrt(2), so the norm is just sum |amplitude|^2.
 
 Polarization is a linear-polarization angle in degrees, reduced to [0, 180).
-All modes sharing a path must be expressible in one orthogonal basis
-{theta, theta+90}; `rebase_path` converts between bases exactly.
+The circuit engine keeps every path in the h/v basis; `rebase_path` rewrites
+a path exactly in another orthogonal basis {theta, theta+90} for detection.
 
 The transverse degree of freedom is tracked per photon as an even/odd
 y-parity label.  The joint (product) parity equals the pump beam's y-parity;
@@ -308,7 +308,8 @@ def joint_parities(state: TwoPhotonState) -> set:
 # polarization basis changes
 
 
-def _cosd(angle: float) -> float:
+def cosd(angle: float) -> float:
+    """cos of an angle in degrees; rounding residues below 1e-15 are exact zeros."""
     c = math.cos(math.radians(angle))
     return 0.0 if abs(c) < 1e-15 else c
 
@@ -327,8 +328,8 @@ def rebase_path(state: TwoPhotonState, path: str, basis_angle: float) -> TwoPhot
             if m.path != path or m in mapping or m.pol in (theta, phi):
                 continue
             mapping[m] = (
-                (m.with_pol(theta), _cosd(m.pol - theta)),
-                (m.with_pol(phi), _cosd(m.pol - phi)),
+                (m.with_pol(theta), cosd(m.pol - theta)),
+                (m.with_pol(phi), cosd(m.pol - phi)),
             )
     if not mapping:
         return state
@@ -336,10 +337,11 @@ def rebase_path(state: TwoPhotonState, path: str, basis_angle: float) -> TwoPhot
 
 
 def rebase_all(state: TwoPhotonState, basis_angle: float = 0.0) -> TwoPhotonState:
-    out = state
-    for p in sorted(state.paths()):
-        out = rebase_path(out, p, basis_angle)
-    return out
+    """`rebase_path` on each path that holds a mode outside the basis."""
+    basis = (normalize_angle(basis_angle), normalize_angle(basis_angle + 90.0))
+    for p in sorted({m.path for pair in state.terms for m in pair if m.pol not in basis}):
+        state = rebase_path(state, p, basis_angle)
+    return state
 
 
 def pol_pair_probs(state: TwoPhotonState) -> Dict[Tuple[Tuple[str, float], Tuple[str, float]], float]:

@@ -180,6 +180,8 @@ def test_hom_visibility_definitions():
     assert kind == "dip" and v == pytest.approx(1.0, abs=1e-6)
     kind, v = hom_visibility(hom_scan("psi+", hg01_pump(), deltas))
     assert kind == "peak" and v == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(ValueError, match="far baseline is 0"):
+        hom_visibility([(-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)])
 
 
 def test_pump_parity_complementarity():

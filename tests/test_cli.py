@@ -216,8 +216,9 @@ def test_overlap_checked_in_every_bsa_mode(capsys, argv, message):
     ["bsa", "--circuit", "incomplete_bsa", "--all-bell", "--waist", "nan"],
     ["bsa", "--circuit", "incomplete_bsa", "--all-bell", "--pump-wavelength", "inf"],
     ["field", "--state", "psi+", "--pump", "hg(200,200)", "--grid=-0.001:0.001:3"],
+    ["field", "--state", "psi+", "--pump", "hg(100,0)", "--grid=-1:1:3"],
 ], ids=["z-nan", "grid-nan", "sigma-l-nan", "sigma-l-0", "waist-nan", "wavelength-inf",
-        "hg200-norm-overflow"])
+        "hg200-norm-overflow", "hg100-field-nan"])
 def test_out_of_range_arguments_exit_2(capsys, argv):
     code, out, err = run_main(capsys, *argv)
     assert code == 2
@@ -234,15 +235,36 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
-@pytest.mark.parametrize("delays", ["--delays=nan:10:1", "--delays=0:inf:1"])
-def test_non_finite_delay_grid_exits_2(delays):
-    # a grid that never ends would allocate without bound: run it capped
-    cp = subprocess.run(
-        [sys.executable, "-m", "bellsieve", "hom", "--state", "psi-", delays],
+def _run_capped(*args: str) -> subprocess.CompletedProcess:
+    """A grid that never ends, or is too large, would allocate without bound
+    or run until killed: run the CLI under a memory limit and a timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "bellsieve", *args],
         capture_output=True, text=True, env=_env({"OPENBLAS_NUM_THREADS": "1"}),
         preexec_fn=_limit_memory, timeout=60)
+
+
+@pytest.mark.parametrize("delays", ["--delays=nan:10:1", "--delays=0:inf:1"])
+def test_non_finite_delay_grid_exits_2(delays):
+    cp = _run_capped("hom", "--state", "psi-", delays)
     assert cp.returncode == 2
     assert cp.stdout == "" and "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "--state", "psi-", "--delays=0:1e12:1e-3"],
+    ["field", "--state", "psi+", "--grid=-1:1:1000000"],
+], ids=["hom-delays", "field-grid"])
+def test_oversized_grid_exits_2(argv):
+    cp = _run_capped(*argv)
+    assert cp.returncode == 2
+    assert cp.stdout == "" and f"more than {cli.MAX_ROWS}" in cp.stderr
+    assert len(cp.stderr.splitlines()) == 1
+
+
+def test_grids_up_to_the_row_cap_are_accepted():
+    assert len(cli.parse_delays(f"0:{cli.MAX_ROWS - 1}:1")) == cli.MAX_ROWS
+    assert cli.parse_grid("-1:1:1000")[2] ** 2 == cli.MAX_ROWS
 
 
 def test_unwritable_out_path_exits_2(capsys, tmp_path: Path):

@@ -27,6 +27,12 @@ def _cases():
                 out[f"bsa_{circuit}_{pump}.{fmt}"] = [
                     "bsa", "--circuit", circuit, "--pump", pump, flag,
                     "--overlap", "0.88", "--format", fmt]
+    # PBSs at 22.5 deg behind a wave plate at 11.25 deg, read out in H/V and 45/45b
+    for pump in ("gauss", "hg01"):
+        for fmt in ("json", "csv"):
+            out[f"bsa_rotated_pbs_{pump}.{fmt}"] = [
+                "bsa", "--circuit", str(GOLDEN / "rotated_pbs.json"), "--pump", pump,
+                "--all-bell", "--format", fmt]
     out["bsa_incomplete_bsa_state.json"] = [
         "bsa", "--circuit", "incomplete_bsa", "--pump", "hg01", "--state", "psi+"]
     out["bsa_complete_bsa_state.json"] = [

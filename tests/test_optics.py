@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from bellsieve import optics, twophoton
+from bellsieve.analysis import oracle_apply
 from bellsieve.hgmodes import gaussian_pump, hg01_pump
 from bellsieve.optics import (
     BeamSplitter,
@@ -24,8 +26,12 @@ from bellsieve.optics import (
     waveplate_jones,
 )
 from bellsieve.twophoton import (
+    ANTIDIAG,
     BELL_KINDS,
+    DIAG,
+    EVEN,
     H,
+    ODD,
     V,
     PhotonMode,
     attach_pump_parity,
@@ -105,11 +111,59 @@ def test_pbs_at_45_splits_h_photons_evenly():
     out = apply_pbs(state, PolarizingBS(in1="A", out_t="T", out_r="R", basis_angle=45.0))
     probs = {}
     for (m1, m2), a in out.terms.items():
-        probs[(m1.path, m2.path)] = abs(a) ** 2
+        probs[(m1.path, m2.path)] = probs.get((m1.path, m2.path), 0.0) + abs(a) ** 2
     # per-photon 50/50: |TT|^2 = |RR|^2 = 1/4, |TR|^2 = 1/2
     assert probs[("T", "T")] == pytest.approx(0.25)
     assert probs[("R", "R")] == pytest.approx(0.25)
     assert probs[("R", "T")] == pytest.approx(0.5)
+
+
+def test_run_circuit_keeps_every_path_in_hv():
+    circ = Circuit(paths=("1", "2", "3", "4"), elements=(
+        PolarizingBS(in1="1", in2="2", out_t="1", out_r="2", basis_angle=22.5),
+        WavePlate("1", "half", 30.0),
+        PolarizingBS(in1="2", in2="3", out_t="2", out_r="3", basis_angle=45.0),
+        PolarizingBS(in1="3", in2="4", out_t="3", out_r="4", basis_angle=135.0),
+    ))
+    rng = random.Random(5)
+    for _ in range(5):
+        out = run_circuit(circ, random_state(rng, circ.paths))
+        assert {m.pol for pair in out.terms for m in pair} <= {H, V}
+
+
+def test_diagonal_input_matches_the_oracle():
+    # the mirror and the untouched path 4 leave their photons' polarization alone
+    circ = Circuit(paths=("1", "2", "3", "4"), elements=(
+        BeamSplitter("1", "2", "1", "2"),
+        PolarizingBS(in1="1", in2="2", out_t="1", out_r="2", basis_angle=22.5),
+        Mirror("3"),
+    ))
+    s = make_state({
+        (PhotonMode("1", DIAG, ODD), PhotonMode("3", ANTIDIAG, EVEN)): 0.6,
+        (PhotonMode("2", 30.0, EVEN), PhotonMode("3", DIAG, ODD)): 0.48j,
+        (PhotonMode("3", 60.0, ODD), PhotonMode("4", ANTIDIAG, EVEN)): 0.64,
+    })
+    assert equal_up_to_global_phase(run_circuit(circ, s), oracle_apply(circ, s), tol=1e-12)
+
+
+def test_one_pass_over_the_state_per_element(monkeypatch):
+    calls = []
+    apply_mode_map = twophoton.apply_mode_map
+
+    def counting(state, mapping):
+        calls.append(1)
+        return apply_mode_map(state, mapping)
+
+    monkeypatch.setattr(twophoton, "apply_mode_map", counting)
+    monkeypatch.setattr(optics, "apply_mode_map", counting)
+    circ = Circuit(paths=("1", "2", "A", "B", "C", "D"), elements=(
+        BeamSplitter("1", "2", "A", "B"),
+        PolarizingBS(in1="A", in2="B", out_t="C", out_r="D", basis_angle=22.5),
+        WavePlate("C", "half", 10.0),
+        Mirror("D"),
+    ))
+    run_circuit(circ, _prepared("psi+", hg01_pump()))
+    assert len(calls) == 4  # every element's map is non-empty
 
 
 def test_hwp_at_45_maps_psi_plus_to_phi_plus():
