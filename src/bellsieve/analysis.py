@@ -137,9 +137,18 @@ def event_distribution(state: TwoPhotonState, layout: DetectorLayout) -> Dict[Ev
     parity and temporal tags.  Raises if a populated path/port has no detector.
     """
     ports = layout.by_path()
+    angles = {path: min(a % 90.0 for a in angle_map) for path, angle_map in ports.items()}
+    bases = {}
+    for path, angle in angles.items():
+        theta = normalize_angle(angle)
+        bases[path] = (theta, normalize_angle(theta + 90.0))
+    # rebase_path scans the whole state even on a path already in its basis
+    off_basis = {m.path for pair in state.terms for m in pair
+                 if m.path in bases and m.pol not in bases[m.path]}
     out = state
-    for path, angle_map in ports.items():
-        out = rebase_path(out, path, min(a % 90.0 for a in angle_map))
+    for path, angle in angles.items():
+        if path in off_basis:
+            out = rebase_path(out, path, angle)
     probs: Dict[Event, float] = {}
     for (m1, m2), amp in out.terms.items():
         ids = []

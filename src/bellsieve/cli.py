@@ -21,6 +21,8 @@ import sys
 from importlib import resources
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import analysis, hgmodes
 from .analysis import OverlapModel, layout_from_json
 from .hgmodes import DetectorPoint, PumpProfile, coincidence_amplitude
@@ -37,6 +39,10 @@ MAX_ROWS = 10**6  # output rows of one hom scan or field map, checked before all
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+_ROW = ",".join(["%.12g"] * 5)  # one field-map row, each value as _fmt writes it
+_FIELD_BLOCK_POINTS = 4096  # grid points per array call of a field map
 
 
 def finite_float(text: str) -> float:
@@ -243,18 +249,25 @@ def cmd_field(args: argparse.Namespace) -> int:
         f"z_m={_fmt(args.z)} K_per_m={_fmt(pump.wave_number)} "
         f"x2_m={_fmt(args.x2)} y2_m={_fmt(args.y2)}\n"
     )
-    lines = [header + "x1_m,y1_m,re,im,abs2"]
-    for iy in range(n):
-        y1 = lo + iy * step
-        for ix in range(n):
-            x1 = lo + ix * step
+    blocks = [header + "x1_m,y1_m,re,im,abs2"]
+    axis = lo + np.arange(n) * step
+    rows = max(1, _FIELD_BLOCK_POINTS // n)
+    for start in range(0, n, rows):
+        ys = axis[start:start + rows]
+        x1, y1 = np.tile(axis, len(ys)), np.repeat(ys, n)
+        # a too-high pump order overflows to inf/NaN, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
             amp, _ = coincidence_amplitude(kind, pump, DetectorPoint(x1, y1, args.z), r2)
-            abs2 = abs(amp) ** 2
-            if not math.isfinite(abs2):
-                raise ConfigError(f"amplitude at x1={_fmt(x1)}, y1={_fmt(y1)} is not finite; "
-                                  "the pump order is too high for this grid")
-            lines.append(f"{_fmt(x1)},{_fmt(y1)},{_fmt(amp.real)},{_fmt(amp.imag)},{_fmt(abs2)}")
-    _emit("\n".join(lines) + "\n", args.out)
+            abs2 = np.hypot(amp.real, amp.imag) ** 2  # rounds as the scalar abs(amp) does
+        bad = np.flatnonzero(~np.isfinite(abs2))
+        if bad.size:
+            i = bad[0]
+            raise ConfigError(f"amplitude at x1={_fmt(x1[i])}, y1={_fmt(y1[i])} is not finite; "
+                              "the pump order is too high for this grid")
+        columns = zip(x1.tolist(), y1.tolist(), amp.real.tolist(), amp.imag.tolist(),
+                      abs2.tolist())
+        blocks.append("\n".join([_ROW % row for row in columns]))
+    _emit("\n".join(blocks) + "\n", args.out)
     return 0
 
 

@@ -6,8 +6,13 @@ two-photon coincidence-detection amplitude fields in which the propagated
 pump profile W appears evaluated at the detection centroid.  The transverse
 envelope is the decaying Gaussian exp(-(x^2+y^2)/w^2).
 
-All lengths are in meters.  Functions accept numpy arrays transparently in
-place of scalars.
+All lengths are in meters.  `hg_field` and `coincidence_amplitude` accept
+numpy arrays of transverse coordinates in place of scalars (the plane z stays
+a scalar), and an array call gives bitwise the results of the elementwise
+scalar calls, signs of zero included: squares are written x * x rather than
+x**2 (Python's float ** calls libm pow), and the final complex product is
+spelled out in real arithmetic (numpy's complex-array product rounds
+differently from its scalar product).
 """
 from __future__ import annotations
 
@@ -105,7 +110,7 @@ def hg_field(mode: HGMode, p: DetectorPoint) -> complex:
     z = p.z
     w = beam_radius(mode, z)
     k = mode.wave_number
-    r2 = p.x**2 + p.y**2
+    r2 = p.x * p.x + p.y * p.y
     amp = (
         mode.norm_constant / w
         * hermite_poly(mode.m, p.x * SQRT2 / w)
@@ -169,7 +174,8 @@ def coincidence_amplitude(
     """Coincidence-detection amplitude of a Bell state behind a balanced
     interferometer, as a function of the two detector positions.
 
-    Returns (scalar amplitude, polarization tag).  The scalar part is
+    Returns (amplitude, polarization tag), the amplitude shaped like the
+    coordinates.  The amplitude is
     exp{iK/2Z [(x1-x2)^2 + (y1-y2)^2]} x [W(xm, ym, Z) -+ W(xm, -ym, Z)]
     with the centroid xm = (x1+x2)/2, ym = (y1+y2)/2, where the minus sign
     belongs to psi+ and both phi states, and the plus sign to psi-;
@@ -183,10 +189,16 @@ def coincidence_amplitude(
         raise ValueError("both detectors must sit in one plane z1 = z2 = Z")
     z = r1.z
     k = pump.wave_number
-    pref = np.exp(1j * k / (2.0 * z) * ((r1.x - r2.x) ** 2 + (r1.y - r2.y) ** 2))
+    dx = r1.x - r2.x
+    dy = r1.y - r2.y
+    pref = np.exp(1j * k / (2.0 * z) * (dx * dx + dy * dy))
     xm = 0.5 * (r1.x + r2.x)
     ym = 0.5 * (r1.y + r2.y)
     w_plus = pump.field(xm, ym, z)
     w_minus = pump.field(xm, -ym, z)
     bracket = w_plus + w_minus if kind == "psi-" else w_plus - w_minus
-    return pref * bracket, _POL_TAGS[kind]
+    amp = np.empty(np.shape(bracket), dtype=complex)
+    # assigned part by part: re + 1j * im would turn a -0.0 real part into 0.0
+    amp.real = pref.real * bracket.real - pref.imag * bracket.imag
+    amp.imag = pref.real * bracket.imag + pref.imag * bracket.real
+    return amp[()], _POL_TAGS[kind]

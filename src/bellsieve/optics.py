@@ -214,12 +214,11 @@ def apply_element(state: TwoPhotonState, el: Element) -> TwoPhotonState:
     if blocked:
         raise ValueError(f"output paths already populated: {sorted(blocked)}")
     on_inputs = dict.fromkeys(m for pair in state.terms for m in pair if m.path in ins)
+    off_basis = [m for m in on_inputs if m.pol not in (H, V)]
+    if off_basis:  # mode_map reads every pol as H or V; rebase_all(state, H) first
+        raise ValueError(f"input mode {off_basis[0]} is not written in h/v")
     mapping = el.mode_map(on_inputs)
     return apply_mode_map(state, mapping) if mapping else state
-
-
-# per-type names kept for existing callers
-apply_pbs = apply_waveplate = apply_delay = apply_element
 
 
 def run_circuit(circuit: Circuit, state: TwoPhotonState) -> TwoPhotonState:

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bellsieve import analysis, cli
+from bellsieve import analysis, cli, hgmodes
+from bellsieve.hgmodes import DetectorPoint
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -130,6 +132,57 @@ def test_field_magnitude_symmetric_under_y_flip(tmp_path: Path):
         rows[(x, y)] = a2
     for (x, y), a2 in rows.items():
         assert rows[(x, -y)] == a2
+
+
+def _axis(lo, hi, n):
+    """The grid coordinates of a field map, as the per-point loop computed them."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n)]
+
+
+def _field_point(kind, pump, x1, y1, r2):
+    """One map point as the per-point loop computes it: (amp, |amp|^2)."""
+    amp, _ = hgmodes.coincidence_amplitude(kind, pump, DetectorPoint(x1, y1, r2.z), r2)
+    a = abs(amp)
+    return amp, a * a  # the map squares |amp| as a * a; abs(amp) ** 2 would call libm pow
+
+
+def test_field_map_equals_the_per_point_evaluation(capsys):
+    lo, hi, n, r2 = -0.004, 0.003, 101, DetectorPoint(3e-4, -2e-4, 0.7)
+    assert n * n > 2 * cli._FIELD_BLOCK_POINTS  # the map spans several blocks
+    code, out, err = run_main(capsys, "field", "--pump", "hg(1,2)", "--state", "phi-",
+                              "--z", "0.7", f"--grid={lo}:{hi}:{n}", "--x2", "3e-4",
+                              "--y2=-2e-4")
+    assert (code, err) == (0, "")
+    pump, axis, want = hgmodes.hg_pump(1, 2), _axis(lo, hi, n), []
+    for y1 in axis:
+        for x1 in axis:
+            amp, abs2 = _field_point("phi-", pump, x1, y1, r2)
+            want.append(",".join(map(cli._fmt, (x1, y1, amp.real, amp.imag, abs2))))
+    assert out.splitlines()[2:] == want
+
+
+def test_field_names_the_first_non_finite_point(capsys):
+    code, out, err = run_main(capsys, "field", "--pump", "hg(100,0)", "--state", "psi+",
+                              "--grid=-1:1:3")
+    assert (code, out) == (2, "")
+    assert err == ("error: amplitude at x1=-1, y1=-1 is not finite; "
+                   "the pump order is too high for this grid\n")
+
+
+def test_field_names_a_non_finite_point_in_a_later_block(capsys):
+    # H_100(y) overflows only on the rows far out in y
+    lo, hi, n, r2 = -0.01, 1.0, 101, DetectorPoint(0.0, 0.0, 0.5)
+    pump, axis = hgmodes.hg_pump(0, 100), _axis(lo, hi, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = next((x1, y1) for y1 in axis for x1 in axis
+                     if not math.isfinite(_field_point("phi+", pump, x1, y1, r2)[1]))
+    assert axis.index(first[1]) * n >= cli._FIELD_BLOCK_POINTS
+    code, out, err = run_main(capsys, "field", "--pump", "hg(0,100)", "--state", "phi+",
+                              f"--grid={lo}:{hi}:{n}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: amplitude at x1={cli._fmt(first[0])}, y1={cli._fmt(first[1])} "
+                   "is not finite; the pump order is too high for this grid\n")
 
 
 def test_exit_code_2_on_bad_config(tmp_path: Path):

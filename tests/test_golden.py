@@ -2,7 +2,10 @@
 
 CSV is compared byte for byte.  JSON is compared after parsing, numbers within
 ABS_TOL, so that a last-bit difference in a BLAS call on another host does not
-fail the test.  To rewrite the golden files after an intended output change:
+fail the test.  `field` maps are compared header and row count exactly and
+values within a relative FIELD_REL_TOL: their last printed digit moves when
+the rounding of a square or a product changes.  To rewrite the golden files
+after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -42,10 +45,16 @@ def _cases():
     out["hom_phi+_hg01_sigma.csv"] = [
         "hom", "--pump", "hg01", "--state", "phi+", "--delays=-600:600:50",
         "--sigma-l", "200"]
+    out["field_hg01_phi+.csv"] = [
+        "field", "--pump", "hg01", "--state", "phi+", "--z", "0.5", "--grid=-0.003:0.003:21"]
+    out["field_hg12_psi-.csv"] = [
+        "field", "--pump", "hg(1,2)", "--state", "psi-", "--z", "1.0",
+        "--grid=-0.003:0.003:21", "--x2", "5e-4", "--y2=-5e-4"]
     return out
 
 
 CASES = _cases()
+FIELD_REL_TOL = 1e-10
 
 
 def _run(argv) -> str:
@@ -77,6 +86,12 @@ def test_cli_output_matches_golden(name):
     want = (GOLDEN / name).read_text(encoding="utf-8")
     if name.endswith(".json"):
         _assert_close(json.loads(got), json.loads(want))
+    elif name.startswith("field_"):
+        got_lines, want_lines = got.splitlines(), want.splitlines()
+        assert got_lines[:2] == want_lines[:2] and len(got_lines) == len(want_lines)
+        for g, w in zip(got_lines[2:], want_lines[2:]):
+            assert [float(v) for v in g.split(",")] == pytest.approx(
+                [float(v) for v in w.split(",")], rel=FIELD_REL_TOL, abs=0.0), w
     else:
         assert got == want
 

@@ -16,9 +16,7 @@ from bellsieve.optics import (
     Mirror,
     PolarizingBS,
     WavePlate,
-    apply_delay,
-    apply_pbs,
-    apply_waveplate,
+    apply_element,
     circuit_from_json,
     circuit_to_json,
     load_circuit,
@@ -92,7 +90,7 @@ def test_textbook_hom_when_reflection_does_not_flip_y():
 def test_pbs_splits_bunched_orthogonal_pair():
     state = make_state({(PhotonMode("A", H), PhotonMode("A", V)): 1.0})
     pbs = PolarizingBS(in1="A", out_t="T", out_r="R")
-    out = apply_pbs(state, pbs)
+    out = apply_element(state, pbs)
     assert len(out.terms) == 1
     ((m1, m2),) = out.terms.keys()
     assert {m1.path, m2.path} == {"T", "R"}
@@ -101,14 +99,14 @@ def test_pbs_splits_bunched_orthogonal_pair():
 
 def test_pbs_at_zero_transmits_h():
     state = make_state({(PhotonMode("A", H), PhotonMode("A", H)): 1.0})
-    out = apply_pbs(state, PolarizingBS(in1="A", out_t="T", out_r="R"))
+    out = apply_element(state, PolarizingBS(in1="A", out_t="T", out_r="R"))
     ((m1, m2),) = out.terms.keys()
     assert (m1.path, m2.path) == ("T", "T")
 
 
 def test_pbs_at_45_splits_h_photons_evenly():
     state = make_state({(PhotonMode("A", H), PhotonMode("A", H)): 1.0})
-    out = apply_pbs(state, PolarizingBS(in1="A", out_t="T", out_r="R", basis_angle=45.0))
+    out = apply_element(state, PolarizingBS(in1="A", out_t="T", out_r="R", basis_angle=45.0))
     probs = {}
     for (m1, m2), a in out.terms.items():
         probs[(m1.path, m2.path)] = probs.get((m1.path, m2.path), 0.0) + abs(a) ** 2
@@ -168,13 +166,13 @@ def test_one_pass_over_the_state_per_element(monkeypatch):
 
 def test_hwp_at_45_maps_psi_plus_to_phi_plus():
     wp = WavePlate("1", "half", 45.0)
-    out = apply_waveplate(bell_state("psi+", "1", "2"), wp)
+    out = apply_element(bell_state("psi+", "1", "2"), wp)
     assert equal_up_to_global_phase(out, bell_state("phi+", "1", "2"))
 
 
 def test_hwp_at_0_maps_psi_plus_to_psi_minus():
     wp = WavePlate("1", "half", 0.0)
-    out = apply_waveplate(bell_state("psi+", "1", "2"), wp)
+    out = apply_element(bell_state("psi+", "1", "2"), wp)
     assert equal_up_to_global_phase(out, bell_state("psi-", "1", "2"))
 
 
@@ -182,10 +180,21 @@ def test_qwp_twice_equals_hwp():
     rng = random.Random(2)
     for _ in range(5):
         s = random_state(rng, ("1", "2"))
-        twice = apply_waveplate(apply_waveplate(s, WavePlate("1", "quarter", 0.0)),
-                                WavePlate("1", "quarter", 0.0))
-        once = apply_waveplate(s, WavePlate("1", "half", 0.0))
+        twice = apply_element(apply_element(s, WavePlate("1", "quarter", 0.0)),
+                              WavePlate("1", "quarter", 0.0))
+        once = apply_element(s, WavePlate("1", "half", 0.0))
         assert equal_up_to_global_phase(twice, once, tol=1e-12)
+
+
+def test_apply_element_rejects_a_mode_outside_hv():
+    # a 45-degree photon read as V would leave the plate as one term of -1
+    s = make_state({(PhotonMode("1", DIAG), PhotonMode("2", H)): 1.0})
+    plate = WavePlate("1", "half", 0.0)
+    with pytest.raises(ValueError, match="not written in h/v"):
+        apply_element(s, plate)
+    out = run_circuit(Circuit(paths=("1", "2"), elements=(plate,)), s)
+    assert sorted(out.terms.values(), key=lambda a: a.real) == pytest.approx(
+        [-1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_jones_matrices_are_unitary():
@@ -197,9 +206,9 @@ def test_jones_matrices_are_unitary():
 
 def test_delay_bookkeeping():
     s = bell_state("psi+", "1", "2")
-    out = apply_delay(s, Delay("1", 0.0))
+    out = apply_element(s, Delay("1", 0.0))
     assert out.terms == s.terms
-    out = apply_delay(apply_delay(s, Delay("1", 2e-6)), Delay("1", 3e-6))
+    out = apply_element(apply_element(s, Delay("1", 2e-6)), Delay("1", 3e-6))
     assert out.delays["1"] == pytest.approx(5e-6)
     assert out.terms == s.terms
 
