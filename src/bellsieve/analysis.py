@@ -54,7 +54,7 @@ from .twophoton import (
     normalize_angle,
     pair_key,
     rebase_all,
-    rebase_path,
+    rebase_paths,
 )
 
 SUPPORT_TOL = 1e-12
@@ -71,9 +71,13 @@ Event = Tuple[str, str]
 
 
 def port_angle(port) -> float:
+    """Analysis angle of a port: H, V, 45, 45b or a finite angle in degrees."""
     if isinstance(port, str) and port in PORT_ANGLES:
         return PORT_ANGLES[port]
-    return normalize_angle(float(port))
+    angle = float(port)
+    if not math.isfinite(angle):
+        raise ValueError(f"port {port!r} is not a finite angle")
+    return normalize_angle(angle)
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,11 @@ def layout_from_json(doc: dict) -> DetectorLayout:
     for d in detectors:
         if not (isinstance(d, dict) and all(k in d for k in ("id", "path", "port"))):
             raise CircuitSchemaError(f"layout detector {d!r} needs 'id', 'path' and 'port'")
+        try:
+            port_angle(str(d["port"]))
+        except ValueError:
+            raise CircuitSchemaError(f"layout detector {d['id']!r} has port {d['port']!r}; "
+                                     "a port is H, V, 45, 45b or a finite angle") from None
     dets = tuple(
         Detector(id=str(d["id"]), path=str(d["path"]), port=str(d["port"]))
         for d in detectors
@@ -137,18 +146,8 @@ def event_distribution(state: TwoPhotonState, layout: DetectorLayout) -> Dict[Ev
     parity and temporal tags.  Raises if a populated path/port has no detector.
     """
     ports = layout.by_path()
-    angles = {path: min(a % 90.0 for a in angle_map) for path, angle_map in ports.items()}
-    bases = {}
-    for path, angle in angles.items():
-        theta = normalize_angle(angle)
-        bases[path] = (theta, normalize_angle(theta + 90.0))
-    # rebase_path scans the whole state even on a path already in its basis
-    off_basis = {m.path for pair in state.terms for m in pair
-                 if m.path in bases and m.pol not in bases[m.path]}
-    out = state
-    for path, angle in angles.items():
-        if path in off_basis:
-            out = rebase_path(out, path, angle)
+    out = rebase_paths(state, {path: min(a % 90.0 for a in angle_map)
+                               for path, angle_map in ports.items()})
     probs: Dict[Event, float] = {}
     for (m1, m2), amp in out.terms.items():
         ids = []

@@ -241,6 +241,9 @@ def cmd_field(args: argparse.Namespace) -> int:
         raise ConfigError("field maps take plain Bell states")
     if args.z <= 0:
         raise ConfigError("detection plane z must be positive")
+    if pump.mode.rayleigh_range == 0.0:  # beam_radius divides by it
+        raise ConfigError(f"waist {_fmt(args.waist)} m is too small: "
+                          "its Rayleigh range underflows to 0")
     lo, hi, n = parse_grid(args.grid)
     step = (hi - lo) / (n - 1)
     r2 = DetectorPoint(args.x2, args.y2, args.z)

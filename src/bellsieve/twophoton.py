@@ -9,8 +9,8 @@ modes i != j the basis vector is a_i^dag a_j^dag |0>, and for i == j it is
 (a_i^dag)^2 |0> / sqrt(2), so the norm is just sum |amplitude|^2.
 
 Polarization is a linear-polarization angle in degrees, reduced to [0, 180).
-The circuit engine keeps every path in the h/v basis; `rebase_path` rewrites
-a path exactly in another orthogonal basis {theta, theta+90} for detection.
+The circuit engine keeps every path in the h/v basis; `rebase_paths` rewrites
+paths exactly in other orthogonal bases {theta, theta+90}, in one pass, for detection.
 
 The transverse degree of freedom is tracked per photon as an even/odd
 y-parity label.  The joint (product) parity equals the pump beam's y-parity;
@@ -120,6 +120,16 @@ def _pruned(terms: Dict[PairKey, complex]) -> Dict[PairKey, complex]:
     return {k: a for k, a in terms.items() if abs(a) > PRUNE_TOL}
 
 
+def _pair_basis(coefficients: Dict[PairKey, complex]) -> Dict[PairKey, complex]:
+    """Creation-operator coefficients as pruned normalized-pair-basis amplitudes."""
+    res: Dict[PairKey, complex] = {}
+    for (k1, k2), a in coefficients.items():
+        val = a * SQRT2 if k1 == k2 else a
+        if abs(val) > PRUNE_TOL:
+            res[(k1, k2)] = val
+    return res
+
+
 def make_state(
     terms: Mapping[Tuple[PhotonMode, PhotonMode], complex],
     delays: Optional[Mapping[str, float]] = None,
@@ -154,16 +164,34 @@ def apply_mode_map(state: TwoPhotonState, mapping: ModeMap) -> TwoPhotonState:
             for k2, c2 in img2:
                 key = pair_key(k1, k2)
                 out[key] = out.get(key, 0j) + a * c1 * c2
-    res: Dict[PairKey, complex] = {}
-    for (k1, k2), a in out.items():
-        val = a * SQRT2 if k1 == k2 else a
-        if abs(val) > PRUNE_TOL:
-            res[(k1, k2)] = val
-    return TwoPhotonState(res, dict(state.delays))
+    return TwoPhotonState(_pair_basis(out), dict(state.delays))
 
 
 # ---------------------------------------------------------------------------
 # constructors
+
+
+# Bell kind -> polarizations of photons one and two in its two terms, sign of the second
+_BELL_TERMS = {"psi+": ((H, V), (V, H), 1.0), "psi-": ((H, V), (V, H), -1.0),
+               "phi+": ((H, H), (V, V), 1.0), "phi-": ((H, H), (V, V), -1.0)}
+
+
+def _bell_superposition(kind: BellKind, path_pairs: Sequence[Tuple[str, str]],
+                        temporal: Tuple[int, int], repeated_path: str) -> TwoPhotonState:
+    """Equal superposition of the Bell state `kind` on each (photon one,
+    photon two) path pair; raises ValueError(repeated_path) if a path repeats."""
+    if kind not in BELL_KINDS:
+        raise ValueError(f"unknown Bell kind {kind!r}")
+    if len({p for pair in path_pairs for p in pair}) != 2 * len(path_pairs):
+        raise ValueError(repeated_path)
+    first, second, sign = _BELL_TERMS[kind]
+    amp = 1.0 / math.sqrt(2 * len(path_pairs))
+    t1, t2 = temporal
+    terms = {}
+    for p1, p2 in path_pairs:
+        for (q1, q2), s in ((first, 1.0), (second, sign)):
+            terms[(PhotonMode(p1, q1, temporal=t1), PhotonMode(p2, q2, temporal=t2))] = s * amp
+    return make_state(terms)
 
 
 def bell_state(
@@ -177,24 +205,8 @@ def bell_state(
     psi+- = (h1 v2 +- v1 h2)/sqrt(2), phi+- = (h1 h2 +- v1 v2)/sqrt(2).
     Parity labels default to even; `temporal` tags the photons in p1, p2.
     """
-    if kind not in BELL_KINDS:
-        raise ValueError(f"unknown Bell kind {kind!r}")
-    if p1 == p2:
-        raise ValueError("Bell states are defined across two distinct spatial paths")
-    t1, t2 = temporal
-    sign = 1.0 if kind.endswith("+") else -1.0
-    amp = 1.0 / SQRT2
-    if kind.startswith("psi"):
-        pairs = [
-            ((PhotonMode(p1, H, temporal=t1), PhotonMode(p2, V, temporal=t2)), amp),
-            ((PhotonMode(p1, V, temporal=t1), PhotonMode(p2, H, temporal=t2)), sign * amp),
-        ]
-    else:
-        pairs = [
-            ((PhotonMode(p1, H, temporal=t1), PhotonMode(p2, H, temporal=t2)), amp),
-            ((PhotonMode(p1, V, temporal=t1), PhotonMode(p2, V, temporal=t2)), sign * amp),
-        ]
-    return make_state(dict(pairs))
+    return _bell_superposition(kind, ((p1, p2),), temporal,
+                               "Bell states are defined across two distinct spatial paths")
 
 
 def hyper_state(
@@ -208,23 +220,9 @@ def hyper_state(
     phi+- with equal polarizations; photon one occupies a or c, photon two
     b or d.
     """
-    if kind not in BELL_KINDS:
-        raise ValueError(f"unknown Bell kind {kind!r}")
     a, b, c, d = paths
-    if len({a, b, c, d}) != 4:
-        raise ValueError("hyperentangled states require four distinct paths")
-    t1, t2 = temporal
-    sign = 1.0 if kind.endswith("+") else -1.0
-    if kind.startswith("psi"):
-        pols = [(H, V, 1.0), (V, H, sign)]
-    else:
-        pols = [(H, H, 1.0), (V, V, sign)]
-    terms = {}
-    for first, second in ((a, b), (c, d)):
-        for q1, q2, s in pols:
-            key = (PhotonMode(first, q1, temporal=t1), PhotonMode(second, q2, temporal=t2))
-            terms[key] = s * 0.5
-    return make_state(terms)
+    return _bell_superposition(kind, ((a, b), (c, d)), temporal,
+                               "hyperentangled states require four distinct paths")
 
 
 def attach_pump_parity(state: TwoPhotonState, pump) -> TwoPhotonState:
@@ -248,12 +246,7 @@ def attach_pump_parity(state: TwoPhotonState, pump) -> TwoPhotonState:
         for pa, pb in ((EVEN, ODD), (ODD, EVEN)):
             k = pair_key(m1.with_parity(pa), m2.with_parity(pb))
             out[k] = out.get(k, 0j) + a / SQRT2
-    res: Dict[PairKey, complex] = {}
-    for (k1, k2), a in out.items():
-        val = a * SQRT2 if k1 == k2 else a
-        if abs(val) > PRUNE_TOL:
-            res[(k1, k2)] = val
-    return TwoPhotonState(res, dict(state.delays))
+    return TwoPhotonState(_pair_basis(out), dict(state.delays))
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +307,38 @@ def cosd(angle: float) -> float:
     return 0.0 if abs(c) < 1e-15 else c
 
 
-def rebase_path(state: TwoPhotonState, path: str, basis_angle: float) -> TwoPhotonState:
-    """Rewrite all modes on `path` in the orthogonal basis {theta, theta+90}.
+def rebase_paths(state: TwoPhotonState, bases: Mapping[str, float]) -> TwoPhotonState:
+    """Rewrite the modes on each path of `bases` in its basis {theta, theta+90}, in one pass.
 
     Exact linear-polarization decomposition e(alpha) = cos(alpha-theta) e(theta)
-    + cos(alpha-phi) e(phi); a no-op for modes already in the target basis.
+    + cos(alpha-phi) e(phi); a no-op for modes already in their target basis.
     """
-    theta = normalize_angle(basis_angle)
-    phi = normalize_angle(theta + 90.0)
+    axes = {}
+    for path, angle in bases.items():
+        theta = normalize_angle(angle)
+        axes[path] = (theta, normalize_angle(theta + 90.0))
     mapping: Dict[PhotonMode, Sequence[Tuple[PhotonMode, complex]]] = {}
-    for m1, m2 in state.terms:
-        for m in (m1, m2):
-            if m.path != path or m in mapping or m.pol in (theta, phi):
+    for pair in state.terms:
+        for m in pair:
+            basis = axes.get(m.path)
+            if basis is None or m.pol in basis or m in mapping:
                 continue
-            mapping[m] = (
-                (m.with_pol(theta), cosd(m.pol - theta)),
-                (m.with_pol(phi), cosd(m.pol - phi)),
-            )
+            mapping[m] = tuple((m.with_pol(axis), cosd(m.pol - axis)) for axis in basis)
     if not mapping:
         return state
     return apply_mode_map(state, mapping)
 
 
+def rebase_path(state: TwoPhotonState, path: str, basis_angle: float) -> TwoPhotonState:
+    """Rewrite all modes on `path` in the orthogonal basis {theta, theta+90}."""
+    return rebase_paths(state, {path: basis_angle})
+
+
 def rebase_all(state: TwoPhotonState, basis_angle: float = 0.0) -> TwoPhotonState:
-    """`rebase_path` on each path that holds a mode outside the basis."""
+    """`rebase_paths` on the paths that hold a mode outside the basis."""
     basis = (normalize_angle(basis_angle), normalize_angle(basis_angle + 90.0))
-    for p in sorted({m.path for pair in state.terms for m in pair if m.pol not in basis}):
-        state = rebase_path(state, p, basis_angle)
-    return state
+    off_basis = {m.path for pair in state.terms for m in pair if m.pol not in basis}
+    return rebase_paths(state, dict.fromkeys(off_basis, basis_angle)) if off_basis else state
 
 
 def pol_pair_probs(state: TwoPhotonState) -> Dict[Tuple[Tuple[str, float], Tuple[str, float]], float]:

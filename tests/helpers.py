@@ -5,6 +5,7 @@ import math
 import random
 from typing import Dict, Optional, Sequence, Tuple
 
+from bellsieve import optics, twophoton
 from bellsieve.optics import (
     BeamSplitter,
     Circuit,
@@ -52,6 +53,21 @@ def random_circuit(rng: random.Random, n_paths: Optional[int] = None,
         else:
             elements.append(Delay(rng.choice(paths), rng.uniform(0.0, 1e-4)))
     return Circuit(paths=paths, elements=tuple(elements))
+
+
+def count_mode_map_passes(monkeypatch) -> list:
+    """Count `apply_mode_map` calls, each one pass over a state, from now on;
+    the returned list grows by one per call."""
+    calls = []
+    apply_mode_map = twophoton.apply_mode_map
+
+    def counting(state, mapping):
+        calls.append(1)
+        return apply_mode_map(state, mapping)
+
+    monkeypatch.setattr(twophoton, "apply_mode_map", counting)
+    monkeypatch.setattr(optics, "apply_mode_map", counting)
+    return calls
 
 
 def random_state(rng: random.Random, paths: Sequence[str],

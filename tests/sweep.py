@@ -1,0 +1,68 @@
+"""Output-identity sweep: 256 in-process CLI calls hashed into one digest.
+
+Run it before and after a change that should not move any output:
+
+    PYTHONPATH=src python tests/sweep.py
+
+The calls are `bsa` on both bundled circuits x pumps gauss/hg01/hg(1,2)/hg(0,3)
+x overlaps 0/0.3/0.85/0.88/1 x policies strict/renormalize x json/csv (160),
+one `--state` run per circuit, Bell kind, pump and format (64), and `hom`
+scans per Bell kind and pump with and without `--sigma-l 200` (32).  Each call
+contributes one JSON line [argv, exit code, stdout, stderr] to a sha256; the
+script prints the call count and the hex digest.  pytest does not collect this
+file.
+"""
+import contextlib
+import hashlib
+import io
+import json
+
+from bellsieve import cli
+
+PUMPS = ("gauss", "hg01", "hg(1,2)", "hg(0,3)")
+KINDS = ("psi+", "psi-", "phi+", "phi-")
+CIRCUITS = (("incomplete_bsa", "--all-bell", ""), ("complete_bsa", "--all-hyper", "hyper-"))
+
+
+def calls():
+    for circuit, flag, _ in CIRCUITS:
+        for pump in PUMPS:
+            for overlap in ("0", "0.3", "0.85", "0.88", "1"):
+                for policy in ("strict", "renormalize"):
+                    for fmt in ("json", "csv"):
+                        yield ["bsa", "--circuit", circuit, "--pump", pump, flag,
+                               "--overlap", overlap, "--policy", policy, "--format", fmt]
+    for circuit, _, prefix in CIRCUITS:
+        for kind in KINDS:
+            for pump in PUMPS:
+                for fmt in ("json", "csv"):
+                    yield ["bsa", "--circuit", circuit, "--pump", pump,
+                           "--state", prefix + kind, "--format", fmt]
+    for kind in KINDS:
+        for pump in PUMPS:
+            for sigma in ([], ["--sigma-l", "200"]):
+                yield ["hom", "--pump", pump, "--state", kind, "--delays=-900:900:25", *sigma]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    for argv in calls():
+        digest.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
+        count += 1
+    print(f"calls {count}")
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

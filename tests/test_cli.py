@@ -270,12 +270,31 @@ def test_overlap_checked_in_every_bsa_mode(capsys, argv, message):
     ["bsa", "--circuit", "incomplete_bsa", "--all-bell", "--pump-wavelength", "inf"],
     ["field", "--state", "psi+", "--pump", "hg(200,200)", "--grid=-0.001:0.001:3"],
     ["field", "--state", "psi+", "--pump", "hg(100,0)", "--grid=-1:1:3"],
+    ["field", "--state", "psi+", "--waist", "1e-300", "--grid=-1:1:3"],
+    ["field", "--state", "psi+", "--waist", "1e-200", "--grid=-1:1:3"],
 ], ids=["z-nan", "grid-nan", "sigma-l-nan", "sigma-l-0", "waist-nan", "wavelength-inf",
-        "hg200-norm-overflow", "hg100-field-nan"])
+        "hg200-norm-overflow", "hg100-field-nan", "waist-1e-300-field", "waist-1e-200-field"])
 def test_out_of_range_arguments_exit_2(capsys, argv):
     code, out, err = run_main(capsys, *argv)
     assert code == 2
     assert out == "" and err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bsa", "--circuit", "incomplete_bsa", "--all-bell", "--format", "csv"],
+    ["hom", "--state", "psi-", "--delays=0:10:5"],
+], ids=["bsa", "hom"])
+def test_a_tiny_waist_only_matters_to_field(capsys, argv):
+    code, out, err = run_main(capsys, *argv, "--waist", "1e-300")
+    assert (code, err) == (0, "")
+    assert out == run_main(capsys, *argv)[1]
+
+
+def test_a_waist_too_small_for_field_is_named(capsys):
+    code, out, err = run_main(capsys, "field", "--state", "psi+", "--waist", "1e-300",
+                              "--grid=-1:1:3")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "waist 1e-300" in err
 
 
 def test_hyper_state_on_two_input_circuit_names_the_need(capsys):
@@ -328,15 +347,28 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path: Path):
     assert str(target) in err
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc["layout"]["detectors"][0].pop("path"),
-    lambda doc: doc.update(layout={"detectors": "x"}),
-], ids=["detector-without-path", "detectors-not-a-list"])
-def test_exit_code_3_on_malformed_layout(capsys, tmp_path: Path, edit):
+def _set_first_port(port):
+    return lambda doc: doc["layout"]["detectors"][0].update(port=port)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["layout"]["detectors"][0].pop("path"), "needs 'id', 'path' and 'port'"),
+    (lambda doc: doc.update(layout={"detectors": "x"}), "layout must hold a 'detectors' list"),
+    (_set_first_port("nan"), "layout detector 'A_h' has port 'nan'"),
+    (_set_first_port("inf"), "layout detector 'A_h' has port 'inf'"),
+    (_set_first_port("abc"), "layout detector 'A_h' has port 'abc'"),
+], ids=["detector-without-path", "detectors-not-a-list", "port-nan", "port-inf", "port-abc"])
+def test_exit_code_3_on_malformed_layout(capsys, tmp_path: Path, edit, message):
     circuit = _edited_incomplete_bsa(tmp_path, edit)
     code, _, err = run_main(capsys, "bsa", "--circuit", circuit, "--all-bell")
     assert code == 3
-    assert "layout" in err
+    assert message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("port,angle", [("30", 30.0), ("-0", 0.0), ("45b", 135.0)])
+def test_numeric_ports_are_still_accepted(port, angle):
+    layout = analysis.layout_from_json({"detectors": [{"id": "d", "path": "A", "port": port}]})
+    assert layout.by_path() == {"A": {angle: "d"}}
 
 
 @pytest.mark.parametrize("argv,runs", [

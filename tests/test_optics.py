@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from bellsieve import optics, twophoton
 from bellsieve.analysis import oracle_apply
 from bellsieve.hgmodes import gaussian_pump, hg01_pump
 from bellsieve.optics import (
@@ -40,7 +39,7 @@ from bellsieve.twophoton import (
     make_state,
 )
 
-from helpers import random_circuit, random_state
+from helpers import count_mode_map_passes, random_circuit, random_state
 
 HOM = Circuit(paths=("1", "2", "A", "B"),
               elements=(BeamSplitter("1", "2", "A", "B"),), inputs=("1", "2"))
@@ -145,15 +144,7 @@ def test_diagonal_input_matches_the_oracle():
 
 
 def test_one_pass_over_the_state_per_element(monkeypatch):
-    calls = []
-    apply_mode_map = twophoton.apply_mode_map
-
-    def counting(state, mapping):
-        calls.append(1)
-        return apply_mode_map(state, mapping)
-
-    monkeypatch.setattr(twophoton, "apply_mode_map", counting)
-    monkeypatch.setattr(optics, "apply_mode_map", counting)
+    calls = count_mode_map_passes(monkeypatch)
     circ = Circuit(paths=("1", "2", "A", "B", "C", "D"), elements=(
         BeamSplitter("1", "2", "A", "B"),
         PolarizingBS(in1="A", in2="B", out_t="C", out_r="D", basis_angle=22.5),

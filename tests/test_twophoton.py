@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from bellsieve import twophoton
+from bellsieve.analysis import event_distribution, layout_from_json, prepare_inputs
+from bellsieve.cli import resolve_circuit
 from bellsieve.hgmodes import gaussian_pump, hg01_pump
 from bellsieve.optics import Circuit, WavePlate, run_circuit
 from bellsieve.twophoton import (
@@ -29,7 +32,7 @@ from bellsieve.twophoton import (
     state_to_json,
 )
 
-from helpers import random_state
+from helpers import count_mode_map_passes, random_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -162,6 +165,34 @@ def test_rebase_round_trip():
         assert back.norm_sq() == pytest.approx(1.0, abs=1e-12)
     got = rebase_all(rebase_all(s, 30.0), 0.0)
     assert equal_up_to_global_phase(got, s, tol=1e-12)
+
+
+def test_rebase_paths_is_successive_rebase_path_in_one_pass(monkeypatch):
+    rng = random.Random(17)
+    bases = {"x": 45.0, "y": 30.0, "z": 112.5}
+    for _ in range(20):
+        s = random_state(rng, ("x", "y", "z", "w"), temporals=(0, 1))
+        expected = s
+        for path, angle in bases.items():
+            expected = rebase_path(expected, path, angle)
+        calls = count_mode_map_passes(monkeypatch)
+        got = twophoton.rebase_paths(s, bases)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert got.terms.keys() == expected.terms.keys()
+        for k, a in expected.terms.items():
+            assert abs(got.terms[k] - a) <= 1e-15
+
+
+def test_event_distribution_rebases_in_one_pass(monkeypatch):
+    circuit = resolve_circuit("complete_bsa")
+    layout = layout_from_json(circuit.layout)  # 45/45b detectors on all four outputs
+    for _, state in prepare_inputs(circuit, hg01_pump()):
+        out = run_circuit(circuit, state)
+        calls = count_mode_map_passes(monkeypatch)
+        event_distribution(out, layout)
+        monkeypatch.undo()
+        assert len(calls) == 1  # one pass, not one per detected path
 
 
 def test_equality_predicate_is_phase_blind():
