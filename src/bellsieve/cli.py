@@ -241,9 +241,13 @@ def cmd_field(args: argparse.Namespace) -> int:
         raise ConfigError("field maps take plain Bell states")
     if args.z <= 0:
         raise ConfigError("detection plane z must be positive")
-    if pump.mode.rayleigh_range == 0.0:  # beam_radius divides by it
-        raise ConfigError(f"waist {_fmt(args.waist)} m is too small: "
-                          "its Rayleigh range underflows to 0")
+    try:  # hg_field divides by the Rayleigh range and squares z / zR and zR / z
+        hgmodes.beam_radius(pump.mode, args.z)
+        hgmodes.wavefront_radius(pump.mode, args.z)
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError(f"waist {_fmt(args.waist)} m is out of range for a field map: its beam "
+                          f"radius or wavefront curvature at z={_fmt(args.z)} m is not finite "
+                          f"(pump wavelength {_fmt(args.pump_wavelength)} m)") from None
     lo, hi, n = parse_grid(args.grid)
     step = (hi - lo) / (n - 1)
     r2 = DetectorPoint(args.x2, args.y2, args.z)

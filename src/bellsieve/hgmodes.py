@@ -91,6 +91,12 @@ def beam_radius(mode: HGMode, z: float) -> float:
     return mode.waist * math.sqrt(1.0 + (z / zr) ** 2)
 
 
+def wavefront_radius(mode: HGMode, z: float) -> float:
+    """Radius of curvature R(z) = (z^2 + zr^2)/z of the wavefront at z != 0."""
+    zr = mode.rayleigh_range
+    return z * (1.0 + (zr / z) ** 2)
+
+
 def gouy_phase(mode: HGMode, z: float) -> float:
     return math.atan2(z, mode.rayleigh_range)
 
@@ -119,9 +125,8 @@ def hg_field(mode: HGMode, p: DetectorPoint) -> complex:
     )
     if z == 0.0:
         return amp * (1.0 + 0j)
-    zr = mode.rayleigh_range
-    curvature = z * (1.0 + (zr / z) ** 2)   # R(z) = (z^2 + zr^2)/z
-    phase = -k * r2 / (2.0 * curvature) - (mode.m + mode.n + 1) * gouy_phase(mode, z)
+    phase = (-k * r2 / (2.0 * wavefront_radius(mode, z))
+             - (mode.m + mode.n + 1) * gouy_phase(mode, z))
     return amp * np.exp(1j * phase)
 
 

@@ -1,12 +1,13 @@
 """Two-photon state algebra over labelled bosonic modes.
 
-A single-photon mode is labelled by (path, polarization angle, transverse
+A single-photon mode is the tuple (path, polarization angle, transverse
 y-parity, temporal tag).  A two-photon state is a complex amplitude map over
-*unordered* pairs of modes, stored once per pair under a canonical mode
-ordering, so bosonic exchange symmetry is structural rather than a runtime
-invariant.  Amplitudes are taken in the normalized pair basis: for distinct
-modes i != j the basis vector is a_i^dag a_j^dag |0>, and for i == j it is
-(a_i^dag)^2 |0> / sqrt(2), so the norm is just sum |amplitude|^2.
+*unordered* pairs of modes, stored once per pair with the smaller mode first:
+tuple order is the canonical pair order, so bosonic exchange symmetry is
+structural rather than a runtime invariant.  Amplitudes are taken in the
+normalized pair basis: for distinct modes i != j the basis vector is
+a_i^dag a_j^dag |0>, and for i == j it is (a_i^dag)^2 |0> / sqrt(2), so the
+norm is just sum |amplitude|^2.
 
 Polarization is a linear-polarization angle in degrees, reduced to [0, 180).
 The circuit engine keeps every path in the h/v basis; `rebase_paths` rewrites
@@ -19,7 +20,8 @@ a y-reflection acts on a photon as (-1)^parity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 SQRT2 = math.sqrt(2.0)
@@ -50,32 +52,32 @@ def normalize_angle(angle: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
-class PhotonMode:
-    """Label of a single-photon mode."""
+class PhotonMode(namedtuple("PhotonMode", "path pol parity temporal")):
+    """Label of a single-photon mode: (path, pol, parity, temporal).
 
-    path: str
-    pol: float = H
-    parity: str = EVEN
-    temporal: int = 0
+    Tuple order is the canonical pair order ("even" sorts before "odd").
+    Build modes with the constructor, which checks the parity and reduces
+    `pol` with `normalize_angle`; `_replace` and `_make` skip those checks.
+    """
 
-    def __post_init__(self) -> None:
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        object.__setattr__(self, "pol", normalize_angle(self.pol))
+    __slots__ = ()
 
-    @property
-    def sort_key(self) -> Tuple[str, float, int, int]:
-        return (self.path, self.pol, 0 if self.parity == EVEN else 1, self.temporal)
+    def __new__(cls, path: str, pol: float = H, parity: str = EVEN, temporal: int = 0):
+        if parity not in (EVEN, ODD):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        angle = normalize_angle(pol)
+        if not math.isfinite(angle):
+            raise ValueError(f"polarization angle must be finite, got {pol!r}")
+        return tuple.__new__(cls, (path, angle, parity, temporal))
 
     def with_path(self, path: str) -> "PhotonMode":
-        return replace(self, path=path)
+        return PhotonMode(path, self.pol, self.parity, self.temporal)
 
     def with_pol(self, pol: float) -> "PhotonMode":
-        return replace(self, pol=pol)
+        return PhotonMode(self.path, pol, self.parity, self.temporal)
 
     def with_parity(self, parity: str) -> "PhotonMode":
-        return replace(self, parity=parity)
+        return PhotonMode(self.path, self.pol, parity, self.temporal)
 
 
 PairKey = Tuple[PhotonMode, PhotonMode]
@@ -85,7 +87,7 @@ ModeMap = Mapping[PhotonMode, Sequence[Tuple[PhotonMode, complex]]]
 
 def pair_key(m1: PhotonMode, m2: PhotonMode) -> PairKey:
     """Canonically ordered unordered-pair key."""
-    return (m1, m2) if m1.sort_key <= m2.sort_key else (m2, m1)
+    return (m1, m2) if m1 <= m2 else (m2, m1)
 
 
 @dataclass(frozen=True)
@@ -355,10 +357,6 @@ def pol_pair_probs(state: TwoPhotonState) -> Dict[Tuple[Tuple[str, float], Tuple
 # serialization
 
 
-def mode_to_json(m: PhotonMode) -> dict:
-    return {"path": m.path, "pol": m.pol, "parity": m.parity, "temporal": m.temporal}
-
-
 def mode_from_json(d: dict) -> PhotonMode:
     return PhotonMode(
         path=str(d["path"]),
@@ -371,8 +369,8 @@ def mode_from_json(d: dict) -> PhotonMode:
 def state_to_json(state: TwoPhotonState) -> dict:
     """JSON form: {"terms": [{"modes": [m1, m2], "re": .., "im": ..}], "delays": {..}}."""
     terms = []
-    for (m1, m2), a in sorted(state.terms.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)):
-        terms.append({"modes": [mode_to_json(m1), mode_to_json(m2)], "re": a.real, "im": a.imag})
+    for (m1, m2), a in sorted(state.terms.items()):
+        terms.append({"modes": [m1._asdict(), m2._asdict()], "re": a.real, "im": a.imag})
     doc = {"terms": terms}
     if state.delays:
         doc["delays"] = {k: state.delays[k] for k in sorted(state.delays)}

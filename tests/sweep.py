@@ -1,21 +1,28 @@
-"""Output-identity sweep: 256 in-process CLI calls hashed into one digest.
+"""Output-identity sweep: in-process CLI calls hashed into one digest.
 
 Run it before and after a change that should not move any output:
 
     PYTHONPATH=src python tests/sweep.py
 
-The calls are `bsa` on both bundled circuits x pumps gauss/hg01/hg(1,2)/hg(0,3)
-x overlaps 0/0.3/0.85/0.88/1 x policies strict/renormalize x json/csv (160),
-one `--state` run per circuit, Bell kind, pump and format (64), and `hom`
-scans per Bell kind and pump with and without `--sigma-l 200` (32).  Each call
+The first 256 calls are `bsa` on both bundled circuits x pumps
+gauss/hg01/hg(1,2)/hg(0,3) x overlaps 0/0.3/0.85/0.88/1 x policies
+strict/renormalize x json/csv (160), one `--state` run per circuit, Bell kind,
+pump and format (64), and `hom` scans per Bell kind and pump with and without
+`--sigma-l 200` (32).  Then come `field` maps per pump and Bell kind on a
+side-21 grid with the second photon off axis (16), one side-101 map, and
+`bsa --all-bell` on tests/golden/rotated_pbs.json (PBSs at 22.5 deg, H/V and
+45/45b detectors) for gauss and hg01 in json and csv (4).  Each call
 contributes one JSON line [argv, exit code, stdout, stderr] to a sha256; the
-script prints the call count and the hex digest.  pytest does not collect this
-file.
+script prints the call count and the hex digest after the first 256 calls and
+after all of them.  It runs from the repository root whatever the working
+directory.  pytest does not collect this file.
 """
 import contextlib
 import hashlib
 import io
 import json
+import os
+from pathlib import Path
 
 from bellsieve import cli
 
@@ -44,6 +51,19 @@ def calls():
                 yield ["hom", "--pump", pump, "--state", kind, "--delays=-900:900:25", *sigma]
 
 
+def more_calls():
+    for pump in PUMPS:
+        for kind in KINDS:
+            yield ["field", "--pump", pump, "--state", kind, "--grid=-0.003:0.003:21",
+                   "--x2", "2e-4", "--y2=-3e-4"]
+    yield ["field", "--pump", "hg(1,2)", "--state", "psi-", "--z", "1.0",
+           "--grid=-0.003:0.003:101", "--x2", "5e-4", "--y2=-5e-4"]
+    for pump in ("gauss", "hg01"):
+        for fmt in ("json", "csv"):
+            yield ["bsa", "--circuit", "tests/golden/rotated_pbs.json", "--pump", pump,
+                   "--all-bell", "--format", fmt]
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -55,13 +75,15 @@ def run(argv):
 
 
 def main() -> None:
+    os.chdir(Path(__file__).resolve().parent.parent)
     digest = hashlib.sha256()
     count = 0
-    for argv in calls():
-        digest.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
-        count += 1
-    print(f"calls {count}")
-    print(f"sha256 {digest.hexdigest()}")
+    for group in (calls(), more_calls()):
+        for argv in group:
+            digest.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
+            count += 1
+        print(f"calls {count}")
+        print(f"sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -291,10 +291,13 @@ def test_a_tiny_waist_only_matters_to_field(capsys, argv):
 
 
 def test_a_waist_too_small_for_field_is_named(capsys):
-    code, out, err = run_main(capsys, "field", "--state", "psi+", "--waist", "1e-300",
-                              "--grid=-1:1:3")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and "waist 1e-300" in err
+    # the Rayleigh range underflows to 0 (1e-300), or z / zR (1e-155, 1e-100)
+    # or zR / z (1e+300) overflows when squared
+    for waist in ("1e-300", "1e-155", "1e-100", "1e+300"):
+        code, out, err = run_main(capsys, "field", "--state", "psi+", "--waist", waist,
+                                  "--grid=-1:1:3")
+        assert (code, out) == (2, ""), waist
+        assert len(err.splitlines()) == 1 and f"waist {waist} m" in err
 
 
 def test_hyper_state_on_two_input_circuit_names_the_need(capsys):

@@ -11,7 +11,12 @@ threshold bucketing, signature tables) without the dense oracle:
 - renaming the paths only relabels the events;
 - swapping two adjacent elements on disjoint paths changes nothing;
 - two identical half-wave plates act as the identity;
-- two identical quarter-wave plates act as one half-wave plate.
+- two identical quarter-wave plates act as one half-wave plate;
+- shifting or swapping both photons' temporal tags changes nothing, because
+  detectors bucket over them;
+- under the strict policy the success probability is affine in the overlap,
+  and at overlap 1 the distinguishable table has no weight;
+- `classify` gives the same partition whatever the order of the inputs.
 """
 import random
 from collections import Counter
@@ -20,12 +25,17 @@ from dataclasses import fields, replace
 import pytest
 
 from bellsieve.analysis import (
+    DISTINGUISHABLE,
+    INTERFERING,
     SUPPORT_TOL,
     Detector,
     DetectorLayout,
+    SignatureTable,
+    classify,
     event_distribution,
     layout_from_json,
     prepare_inputs,
+    score_success,
     signature_table,
 )
 from bellsieve.cli import resolve_circuit
@@ -49,9 +59,9 @@ def _layout(rng, paths):
                                 for p in paths for port in rng.choice(BASES)))
 
 
-def _bell_inputs(circuit, pump):
+def _bell_inputs(circuit, pump, temporal=INTERFERING):
     p1, p2 = circuit.paths[:2]
-    return [(k, attach_pump_parity(bell_state(k, p1, p2), pump)) for k in BELL_KINDS]
+    return [(k, attach_pump_parity(bell_state(k, p1, p2, temporal), pump)) for k in BELL_KINDS]
 
 
 def unambiguous_probability(circuit, inputs, layout):
@@ -158,3 +168,56 @@ def test_two_identical_wave_plates(twice, once):
         layout = _layout(rng, circuit.paths)
         for _, state in _bell_inputs(circuit, hg01_pump()):
             _assert_same_events(_events(doubled, layout, state), _events(reference, layout, state))
+
+
+@pytest.mark.parametrize("tags,moved", [((0, 0), (1, 1)), ((0, 1), (1, 0))],
+                         ids=["shift", "swap"])
+def test_temporal_tags_only_label_the_photons(tags, moved):
+    rng = random.Random(29)
+    for _ in range(30):
+        circuit = _circuit(rng)
+        layout = _layout(rng, circuit.paths)
+        pump = rng.choice((gaussian_pump(), hg01_pump()))
+        for (_, state), (_, restate) in zip(_bell_inputs(circuit, pump, tags),
+                                            _bell_inputs(circuit, pump, moved)):
+            _assert_same_events(_events(circuit, layout, restate),
+                                _events(circuit, layout, state))
+
+
+def _tables(rng, tag_sets=(INTERFERING, DISTINGUISHABLE)):
+    """Signature tables of a random circuit and layout, one per temporal tag set."""
+    circuit = _circuit(rng)
+    layout = _layout(rng, circuit.paths)
+    pump = rng.choice((gaussian_pump(), hg01_pump()))
+    return [signature_table(circuit, _bell_inputs(circuit, pump, tags), layout)
+            for tags in tag_sets]
+
+
+def test_strict_success_is_affine_in_the_overlap():
+    rng = random.Random(31)
+    for _ in range(30):
+        ideal, dist = _tables(rng)
+        lo, hi = (score_success(ideal, dist, x).average for x in (0.0, 1.0))
+        for x in (0.25, 0.5, 0.85):
+            assert score_success(ideal, dist, x).average == pytest.approx(
+                (1.0 - x) * lo + x * hi, abs=TOL)
+        # at overlap 1 any distinguishable table has no weight
+        assert score_success(ideal, ideal, 1.0).average == pytest.approx(hi, abs=TOL)
+
+
+def _partition(report):
+    return {frozenset(members): events for members, events in zip(report.classes,
+                                                                  report.class_events)}
+
+
+def test_classify_ignores_the_order_of_the_inputs():
+    rng = random.Random(37)
+    split = 0
+    for _ in range(60):
+        (table,) = _tables(rng, (INTERFERING,))
+        labels = rng.sample(list(table.entries), len(table.entries))
+        reordered = SignatureTable({lab: table.entries[lab] for lab in labels})
+        expected = _partition(classify(table))
+        assert _partition(classify(reordered)) == expected
+        split += len(expected) > 1
+    assert split >= 10

@@ -271,7 +271,7 @@ def test_double_pass_through_a_splitter_swaps_up_to_phase():
             swap = {"1": "2", "2": "1"}
             for (m1, m2), a in s.terms.items():
                 k1, k2 = m1.with_path(swap[m1.path]), m2.with_path(swap[m2.path])
-                key = (k1, k2) if k1.sort_key <= k2.sort_key else (k2, k1)
+                key = (k1, k2) if k1 <= k2 else (k2, k1)
                 swapped_terms[key] = a
             from bellsieve.twophoton import TwoPhotonState
 

@@ -219,7 +219,42 @@ def test_json_round_trip():
     assert back.delays == {"1": 1.5e-6}
 
 
+def _canonical(m):
+    return (m.path, m.pol, 0 if m.parity == EVEN else 1, m.temporal)
+
+
 def test_pair_key_is_order_insensitive():
     m1 = PhotonMode("b", V, ODD, 1)
     m2 = PhotonMode("a", H, EVEN, 0)
     assert pair_key(m1, m2) == pair_key(m2, m1)
+    # tuple order is the canonical order: path, pol, even before odd, temporal
+    rng = random.Random(8)
+    modes = [PhotonMode(rng.choice("ab"), rng.choice((H, 22.5, V)), rng.choice((ODD, EVEN)),
+                        rng.randint(0, 1)) for _ in range(200)]
+    assert sorted(modes) == sorted(modes, key=_canonical)
+    for m, n in zip(modes, modes[1:]):
+        assert pair_key(m, n) == tuple(sorted((m, n), key=_canonical))
+
+
+def test_state_to_json_keeps_its_term_order():
+    # photon two's paths sort first, so the canonical order is not insertion order
+    s = attach_pump_parity(hyper_state("psi-", ("d", "a", "c", "b"), temporal=(1, 0)),
+                           hg01_pump())
+    got = [tuple(tuple(m.values()) for m in t["modes"]) for t in state_to_json(s)["terms"]]
+    assert got == [
+        (("a", H, EVEN, 0), ("d", V, ODD, 1)), (("a", H, ODD, 0), ("d", V, EVEN, 1)),
+        (("a", V, EVEN, 0), ("d", H, ODD, 1)), (("a", V, ODD, 0), ("d", H, EVEN, 1)),
+        (("b", H, EVEN, 0), ("c", V, ODD, 1)), (("b", H, ODD, 0), ("c", V, EVEN, 1)),
+        (("b", V, EVEN, 0), ("c", H, ODD, 1)), (("b", V, ODD, 0), ("c", H, EVEN, 1)),
+    ]
+
+
+@pytest.mark.parametrize("pol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", [
+    lambda pol: PhotonMode("1", float(pol)),
+    lambda pol: state_from_json({"terms": [{"modes": [{"path": "1", "pol": pol}, {"path": "2"}],
+                                            "re": 1.0}]}),
+], ids=["constructor", "state_from_json"])
+def test_a_non_finite_polarization_is_rejected(build, pol):
+    with pytest.raises(ValueError, match=f"polarization angle must be finite, got {pol}$"):
+        build(pol)
