@@ -14,10 +14,11 @@ its two cross-output probabilities the same way.
 The dense oracle rebuilds every circuit as an explicit single-photon unitary
 over (path, polarization, parity, temporal) modes in the global h/v basis and
 lifts it to the symmetric two-photon space, providing an independent check of
-the sparse engine.
+the engine: it never reads an element's `mode_map`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,6 +36,7 @@ from .optics import (
     PolarizingBS,
     WavePlate,
     run_circuit,
+    run_states,
     waveplate_jones,
 )
 from .twophoton import (
@@ -191,8 +193,9 @@ def signature_table(
     overlap: Optional[float] = None,
 ) -> SignatureTable:
     entries = {}
-    for label, state in inputs:
-        dist = event_distribution(run_circuit(circuit, state), layout)
+    outputs = run_states(circuit, [state for _, state in inputs])
+    for (label, _), out in zip(inputs, outputs):
+        dist = event_distribution(out, layout)
         total = sum(dist.values())
         if abs(total - 1.0) > 1e-9:
             raise RuntimeError(f"event distribution for {label} sums to {total!r}")
@@ -288,9 +291,11 @@ class OverlapModel:
         return math.exp(-((delta / self.sigma_l) ** 2))
 
 
-def _hom_cross_outputs(kind: BellKind, pump: PumpProfile) -> Tuple[float, float]:
+@functools.lru_cache(maxsize=None)
+def _hom_cross_outputs(kind: BellKind, joint_parity: int) -> Tuple[float, float]:
     """Probability that the two photons of `kind` leave a 50-50 splitter on
-    different paths: (interfering, distinguishable)."""
+    different paths: (interfering, distinguishable).  The pump enters only
+    through its joint parity, so the pair is the cache key."""
     circuit = Circuit(
         paths=("1", "2", "A", "B"),
         elements=(BeamSplitter("1", "2", "A", "B"),),
@@ -299,7 +304,7 @@ def _hom_cross_outputs(kind: BellKind, pump: PumpProfile) -> Tuple[float, float]
     )
     probs = []
     for temporal in (INTERFERING, DISTINGUISHABLE):
-        state = attach_pump_parity(bell_state(kind, "1", "2", temporal=temporal), pump)
+        state = attach_pump_parity(bell_state(kind, "1", "2", temporal=temporal), joint_parity)
         out = run_circuit(circuit, state)
         probs.append(sum(abs(a) ** 2 for (m1, m2), a in out.terms.items() if m1.path != m2.path))
     return probs[0], probs[1]
@@ -309,7 +314,7 @@ def coincidence_probability(kind: BellKind, pump: PumpProfile, overlap: float) -
     """Cross-output coincidence probability at a 50-50 splitter, mixed model."""
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must lie in [0, 1]")
-    p_int, p_dist = _hom_cross_outputs(kind, pump)
+    p_int, p_dist = _hom_cross_outputs(kind, pump.joint_parity)
     return overlap * p_int + (1.0 - overlap) * p_dist
 
 
@@ -320,7 +325,7 @@ def hom_scan(
     model: OverlapModel = OverlapModel(),
 ) -> List[Tuple[float, float]]:
     """Coincidence probability vs. relative delay (meters)."""
-    p_int, p_dist = _hom_cross_outputs(kind, pump)
+    p_int, p_dist = _hom_cross_outputs(kind, pump.joint_parity)
     curve = []
     for d in deltas:
         o = model.overlap(d)

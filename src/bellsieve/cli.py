@@ -241,13 +241,16 @@ def cmd_field(args: argparse.Namespace) -> int:
         raise ConfigError("field maps take plain Bell states")
     if args.z <= 0:
         raise ConfigError("detection plane z must be positive")
-    try:  # hg_field divides by the Rayleigh range and squares z / zR and zR / z
-        hgmodes.beam_radius(pump.mode, args.z)
+    if not math.isfinite(pump.wave_number):
+        raise ConfigError(f"pump wavelength {_fmt(args.pump_wavelength)} m is out of range for a "
+                          "field map: its wave number is not finite")
+    try:  # hg_field divides by the Rayleigh range, squares z / zR and zR / z, and squares w(z)
+        hgmodes.beam_radius(pump.mode, args.z) ** 2
         hgmodes.wavefront_radius(pump.mode, args.z)
     except (OverflowError, ZeroDivisionError):
         raise ConfigError(f"waist {_fmt(args.waist)} m is out of range for a field map: its beam "
-                          f"radius or wavefront curvature at z={_fmt(args.z)} m is not finite "
-                          f"(pump wavelength {_fmt(args.pump_wavelength)} m)") from None
+                          f"radius, squared, or wavefront curvature at z={_fmt(args.z)} m is not "
+                          f"finite (pump wavelength {_fmt(args.pump_wavelength)} m)") from None
     lo, hi, n = parse_grid(args.grid)
     step = (hi - lo) / (n - 1)
     r2 = DetectorPoint(args.x2, args.y2, args.z)

@@ -2,8 +2,12 @@
 
 Each element type defines its physics once: `ports()` gives its input and
 output paths `(ins, outs)`, and `mode_map(modes)` the h/v images of h/v modes
-on its inputs.  `run_circuit` writes its input in h/v once, so every path stays
-in h/v, and `apply_element` lifts a rule to the pair state.
+on its inputs.  The engine compiles each circuit once (`Circuit.compiled`):
+every element becomes one small block per parity, built from its `mode_map`.
+`run_states` writes a stack of states in h/v, so every path stays in h/v; the
+stack enters once as dense symmetric pair matrices (see `twophoton`), passes
+the blocks, and leaves once as `TwoPhotonState`s pruned at PRUNE_TOL.
+`run_circuit` runs one state, and `apply_element` a one-element circuit.
 
 The beam splitter is 50-50 and symmetric: transmission amplitude 1/sqrt(2),
 reflection i/sqrt(2).  A reflection flips the transverse y-coordinate, so a
@@ -14,8 +18,9 @@ Polarizing beam splitters act in a rotated linear basis {theta, theta+90}:
 the theta component transmits (in1 -> out_t, in2 -> out_r), the orthogonal
 component reflects (in1 -> out_r, in2 -> out_t) with amplitude factor
 i * sigma(parity); the rule is written in h/v.  Wave plates are standard
-retarders about their fast axis.  Delays only record their offset on the state
-(distinguishability is applied statistically by the analysis layer).
+retarders about their fast axis.  Delays only add their offset to the output
+state's `delays` (distinguishability is applied statistically by the analysis
+layer).
 
 Circuits are ordered element lists over a registry of named paths, applied
 left to right; every element conserves the photon-pair norm.  The JSON schema
@@ -23,22 +28,25 @@ follows the element dataclasses' fields, under the names in `ELEMENT_TYPES`.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, Field, asdict, dataclass, fields
-from typing import Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .twophoton import (
+    EVEN,
     H,
+    NORM_TOL,
     ODD,
+    PRUNE_TOL,
     SQRT2,
     ModeMap,
     PhotonMode,
     TwoPhotonState,
     V,
-    apply_mode_map,
     cosd,
     rebase_all,
 )
@@ -189,6 +197,12 @@ class Circuit:
             if p not in registry:
                 raise ValueError(f"input path {p!r} not registered")
 
+    @property
+    def compiled(self) -> "CompiledCircuit":
+        """The engine's form of this circuit.  Circuits with the same paths
+        and elements share one, so a circuit loaded again is not recompiled."""
+        return _compiled(self.paths, self.elements)
+
 
 def waveplate_jones(kind: str, fast_axis: float) -> np.ndarray:
     """Jones matrix of a retarder about `fast_axis` (degrees) in the h/v basis.
@@ -203,40 +217,161 @@ def waveplate_jones(kind: str, fast_axis: float) -> np.ndarray:
     return rot @ np.diag([1.0, np.exp(-1j * delta)]) @ rot.T
 
 
+class CompiledCircuit:
+    """A circuit in the form the engine runs.
+
+    A run holds a stack of pair matrices W (see `twophoton`) over the modes
+    (path, h/v, parity, temporal tag) of the sectors (parity, tag) its states
+    occupy, in ascending mode order.  An element is the block B of its
+    `mode_map` over the h/v modes S of its input and fresh output paths, one
+    block per parity for every temporal tag, and acts as W[S, :] = B W[S, :],
+    then W[:, S] = W[:, S] B^T.  Only the occupied columns are evolved: the
+    stack is kept as C W0 C^T, W0 the input on its occupied modes and C their
+    images so far, so an element is C[S, :] = B C[S, :] and W = C W0 C^T is
+    formed once at the end.  The layout for a set of sectors is built on first
+    use of that set and kept.
+    """
+
+    def __init__(self, paths: Tuple[str, ...], elements: Tuple[Element, ...]) -> None:
+        self.paths = tuple(sorted(paths))
+        rank = {p: k for k, p in enumerate(self.paths)}
+        self.delays = [(el.path, el.delta) for el in elements if isinstance(el, Delay)]
+        self.steps = [self._step(el, rank) for el in elements]
+        self._layouts: dict = {}
+
+    @staticmethod
+    def _step(el: Element, rank: Dict[str, int]):
+        """The h/v modes the element touches, inputs first, as 2 * (rank of
+        the path) + (0 for H, 1 for V); how many are inputs; and per parity
+        its `mode_map` as a matrix over them, or None for the identity."""
+        ins, outs = el.ports()
+        touched = [(p, pol) for p in ins + tuple(p for p in outs if p not in ins) for pol in (H, V)]
+        slot = {mode: k for k, mode in enumerate(touched)}
+        blocks = {}
+        for parity in (EVEN, ODD):
+            mapping = el.mode_map([PhotonMode(p, pol, parity) for p in ins for pol in (H, V)])
+            cols = [[1.0 if r == k else 0j for r in range(len(slot))] for k in range(len(slot))]
+            for m, images in mapping.items():  # modes absent from the map stay put
+                col = cols[slot[m.path, m.pol]] = [0j] * len(slot)
+                for image, c in images:
+                    col[slot[image.path, image.pol]] += c
+            blocks[parity] = np.array(cols, dtype=complex).T if mapping else None
+        return [2 * rank[p] + (0 if pol == H else 1) for p, pol in touched], 2 * len(ins), blocks
+
+    def _layout(self, sectors: Tuple[Tuple[str, int], ...]):
+        """Modes, their index, and per element (its rows and block in each
+        sector it changes, and its fresh-output rows)."""
+        layout = self._layouts.get(sectors)
+        if layout is not None:
+            return layout
+        n = len(sectors)
+        # every field is already valid: registered paths, h/v, the states' own sectors
+        modes = [PhotonMode._make((p, pol, par, t))
+                 for p in self.paths for pol in (H, V) for par, t in sectors]
+        ops = []
+        for local, n_in, blocks in self.steps:
+            parts = [(s, blocks[par]) for s, (par, _) in enumerate(sectors)
+                     if blocks[par] is not None]
+            rows = np.array([[r * n + s for r in local] for s, _ in parts], dtype=np.intp)
+            stack = np.array([b for _, b in parts], dtype=complex)  # the block of each sector
+            fresh = [r * n + s for r in local[n_in:] for s in range(n)]
+            ops.append((rows, stack, np.array(fresh, dtype=np.intp)))
+        layout = (modes, {m: i for i, m in enumerate(modes)}, ops)
+        self._layouts[sectors] = layout
+        return layout
+
+    def run(self, states: Sequence[TwoPhotonState]) -> List[TwoPhotonState]:
+        """Evolve a stack of h/v states in one pass; renormalize each exactly.
+
+        Raises on a mode outside the registry or outside h/v, on a fresh
+        output path that holds an amplitude above PRUNE_TOL just before its
+        element, and on a norm drift beyond NORM_TOL (a broken element map).
+        """
+        occupied = {m for state in states for pair in state.terms for m in pair}
+        unknown = {m.path for m in occupied}.difference(self.paths)
+        if unknown:
+            raise ValueError(f"state occupies unregistered paths: {sorted(unknown)}")
+        off_basis = sorted(m for m in occupied if m.pol not in (H, V))
+        if off_basis:  # mode_map reads every pol as H or V; rebase_all(state, H) first
+            raise ValueError(f"input mode {off_basis[0]} is not written in h/v")
+        sectors = tuple(sorted({(m.parity, m.temporal) for m in occupied})) or ((EVEN, 0),)
+        modes, index, ops = self._layout(sectors)
+        occupied = sorted(occupied)  # mode order is index order
+        column = {m: k for k, m in enumerate(occupied)}
+
+        batch, ij, amps = [], [], []
+        for k, state in enumerate(states):
+            batch += [k] * len(state.terms)
+            ij += [column[m] for pair in state.terms for m in pair]
+            amps += state.terms.values()
+        batch = np.array(batch, dtype=np.intp)
+        i, j = np.array(ij, dtype=np.intp).reshape(-1, 2).T
+        amps = np.array(amps, dtype=complex)
+        amps[i == j] *= SQRT2
+        w = np.zeros((len(states), len(occupied), len(occupied)), dtype=complex)
+        w[batch, i, j] = amps
+        w[batch, j, i] = amps
+
+        # the whole stack is C w C^T, C the images of the occupied modes so far
+        c = np.zeros((len(modes), len(occupied)), dtype=complex)
+        c[[index[m] for m in occupied], range(len(occupied))] = 1.0
+        for rows, stack, fresh in ops:
+            if fresh.size and c[fresh].any():  # exact zeros when nothing reaches them
+                before = abs(c[fresh] @ w @ c.T) > PRUNE_TOL  # rows of the fresh outputs
+                if before.any():
+                    blocked = {modes[r].path for r, hit in zip(fresh, before.any(axis=(0, 2))) if hit}
+                    raise ValueError(f"output paths already populated: {sorted(blocked)}")
+            if rows.size:
+                c[rows] = stack @ c[rows]
+        live = np.flatnonzero(c.any(axis=1))  # modes the stack can occupy now
+        c = c[live]
+        w = c @ w @ c.T
+
+        diagonal = np.arange(len(live))
+        w[:, diagonal, diagonal] /= SQRT2  # now pair amplitudes on and above the diagonal
+        k, i, j = np.nonzero(abs(w) > PRUNE_TOL)
+        upper = i <= j
+        k, i, j = k[upper], i[upper], j[upper]
+        amps = w[k, i, j]
+        norms = np.sqrt(np.bincount(k, abs(amps) ** 2, len(states)))
+        amps = (amps / norms[k]).tolist()
+        i, j = live[i].tolist(), live[j].tolist()
+        ends = np.cumsum(np.bincount(k, minlength=len(states))).tolist()
+        out = []
+        for state, norm, start, end in zip(states, norms.tolist(), [0] + ends, ends):
+            if abs(norm - 1.0) > NORM_TOL:
+                raise RuntimeError(f"internal error: circuit norm drifted to {norm!r}")
+            keys = [(modes[a], modes[b]) for a, b in zip(i[start:end], j[start:end])]
+            delays = dict(state.delays)
+            for path, delta in self.delays:
+                delays[path] = delays.get(path, 0.0) + delta
+            out.append(TwoPhotonState(dict(zip(keys, amps[start:end])), delays))
+        return out
+
+
+@functools.lru_cache(maxsize=8)
+def _compiled(paths: Tuple[str, ...], elements: Tuple[Element, ...]) -> CompiledCircuit:
+    return CompiledCircuit(paths, elements)
+
+
 def apply_element(state: TwoPhotonState, el: Element) -> TwoPhotonState:
-    """Lift the element's single-photon rule to a pair state written in h/v."""
-    if isinstance(el, Delay):  # bookkeeping only
-        delays = {**state.delays, el.path: state.delays.get(el.path, 0.0) + el.delta}
-        return TwoPhotonState(dict(state.terms), delays)
+    """Run a state written in h/v through the one-element circuit of `el`."""
     ins, outs = el.ports()
-    fresh = set(outs).difference(ins)
-    blocked = fresh and fresh & state.paths()  # in-place elements skip the scan
-    if blocked:
-        raise ValueError(f"output paths already populated: {sorted(blocked)}")
-    on_inputs = dict.fromkeys(m for pair in state.terms for m in pair if m.path in ins)
-    off_basis = [m for m in on_inputs if m.pol not in (H, V)]
-    if off_basis:  # mode_map reads every pol as H or V; rebase_all(state, H) first
-        raise ValueError(f"input mode {off_basis[0]} is not written in h/v")
-    mapping = el.mode_map(on_inputs)
-    return apply_mode_map(state, mapping) if mapping else state
+    paths = tuple(dict.fromkeys(sorted(state.paths()) + list(ins + outs)))
+    return Circuit(paths, (el,)).compiled.run([state])[0]
+
+
+def run_states(circuit: Circuit, states: Sequence[TwoPhotonState]) -> List[TwoPhotonState]:
+    """Write each state in h/v and push the stack through the compiled circuit."""
+    return circuit.compiled.run([rebase_all(state, H) for state in states])
 
 
 def run_circuit(circuit: Circuit, state: TwoPhotonState) -> TwoPhotonState:
     """Write the state in h/v, apply the elements left to right, renormalize exactly.
 
-    A norm drift beyond 1e-9 indicates a broken element map and raises.
+    A norm drift beyond NORM_TOL indicates a broken element map and raises.
     """
-    unknown = state.paths() - set(circuit.paths)
-    if unknown:
-        raise ValueError(f"state occupies unregistered paths: {sorted(unknown)}")
-    out = rebase_all(state, H)
-    for el in circuit.elements:
-        out = apply_element(out, el)
-    norm = math.sqrt(out.norm_sq())
-    if abs(norm - 1.0) > 1e-9:
-        raise RuntimeError(f"internal error: circuit norm drifted to {norm!r}")
-    terms = {k: a / norm for k, a in out.terms.items()}
-    return TwoPhotonState(terms, dict(out.delays))
+    return run_states(circuit, [state])[0]
 
 
 # ---------------------------------------------------------------------------

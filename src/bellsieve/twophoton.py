@@ -9,6 +9,15 @@ normalized pair basis: for distinct modes i != j the basis vector is
 a_i^dag a_j^dag |0>, and for i == j it is (a_i^dag)^2 |0> / sqrt(2), so the
 norm is just sum |amplitude|^2.
 
+The circuit engine (`optics`) takes and returns these pair maps and works on
+another form in between: a symmetric complex matrix W over single-photon
+modes, W[i, j] = W[j, i] the amplitude of the pair (i, j) for i != j and
+W[i, i] = sqrt(2) times that of two photons in mode i.  A single-photon
+linear map M acts on it as W -> M W M^T, and the norm is |W|_F^2 / 2.  The
+engine drops amplitudes below PRUNE_TOL only when a state leaves W; the pair
+map operations here (basis changes, pump-parity attachment) prune their own
+results.
+
 Polarization is a linear-polarization angle in degrees, reduced to [0, 180).
 The circuit engine keeps every path in the h/v basis; `rebase_paths` rewrites
 paths exactly in other orthogonal bases {theta, theta+90}, in one pass, for detection.

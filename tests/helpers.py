@@ -5,7 +5,7 @@ import math
 import random
 from typing import Dict, Optional, Sequence, Tuple
 
-from bellsieve import optics, twophoton
+from bellsieve import twophoton
 from bellsieve.optics import (
     BeamSplitter,
     Circuit,
@@ -66,7 +66,6 @@ def count_mode_map_passes(monkeypatch) -> list:
         return apply_mode_map(state, mapping)
 
     monkeypatch.setattr(twophoton, "apply_mode_map", counting)
-    monkeypatch.setattr(optics, "apply_mode_map", counting)
     return calls
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellsieve import analysis, cli, hgmodes
+from bellsieve import analysis, cli, hgmodes, optics
 from bellsieve.hgmodes import DetectorPoint
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -300,6 +300,17 @@ def test_a_waist_too_small_for_field_is_named(capsys):
         assert len(err.splitlines()) == 1 and f"waist {waist} m" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--state", "psi+", "--pump-wavelength", "1e-320"], "pump wavelength 9.99988867183e-321 m"),
+    (["--state", "psi-", "--waist", "1e10", "--z", "7.8e176"], "waist 10000000000 m"),
+], ids=["wave-number-inf", "beam-radius-squared-overflows"])
+def test_field_names_the_argument_out_of_range(capsys, argv, message):
+    # 2 pi / 1e-320 is inf; w(z) = 1e160 is finite but hg_field squares it
+    code, out, err = run_main(capsys, "field", *argv, "--grid=-1:1:3")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and message in err
+
+
 def test_hyper_state_on_two_input_circuit_names_the_need(capsys):
     code, _, err = run_main(capsys, "bsa", "--circuit", "incomplete_bsa", "--state", "hyper-psi-")
     assert code == 2
@@ -374,21 +385,24 @@ def test_numeric_ports_are_still_accepted(port, angle):
     assert layout.by_path() == {"A": {angle: "d"}}
 
 
-@pytest.mark.parametrize("argv,runs", [
-    (["bsa", "--circuit", "complete_bsa", "--all-hyper", "--format", "json"], 8),
-    (["bsa", "--circuit", "complete_bsa", "--all-hyper", "--format", "csv"], 4),
-    (["bsa", "--circuit", "complete_bsa", "--state", "hyper-psi-"], 1),
-    (["hom", "--state", "psi-", "--delays=-900:900:25"], 2),
+@pytest.mark.parametrize("argv,stacks", [
+    (["bsa", "--circuit", "complete_bsa", "--all-hyper", "--format", "json"], [4, 4]),
+    (["bsa", "--circuit", "complete_bsa", "--all-hyper", "--format", "csv"], [4]),
+    (["bsa", "--circuit", "complete_bsa", "--state", "hyper-psi-"], [1]),
+    (["hom", "--state", "psi-", "--delays=-900:900:25"], [1, 1]),
 ], ids=["bsa-json", "bsa-csv", "bsa-state", "hom"])
-def test_each_table_is_computed_once(capsys, monkeypatch, argv, runs):
+def test_each_table_is_computed_once(capsys, monkeypatch, argv, stacks):
+    # one engine pass per table, all of its inputs in one stack; hom runs its
+    # two tag sets once per Bell kind and joint parity
     calls = []
-    run_circuit = analysis.run_circuit
+    run = optics.CompiledCircuit.run
 
-    def counting(*a, **kw):
-        calls.append(1)
-        return run_circuit(*a, **kw)
+    def counting(self, states):
+        calls.append(len(states))
+        return run(self, states)
 
-    monkeypatch.setattr(analysis, "run_circuit", counting)
+    monkeypatch.setattr(optics.CompiledCircuit, "run", counting)
+    analysis._hom_cross_outputs.cache_clear()
     code, _, _ = run_main(capsys, *argv)
     assert code == 0
-    assert len(calls) == runs
+    assert calls == stacks
