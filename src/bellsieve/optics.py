@@ -18,9 +18,8 @@ Polarizing beam splitters act in a rotated linear basis {theta, theta+90}:
 the theta component transmits (in1 -> out_t, in2 -> out_r), the orthogonal
 component reflects (in1 -> out_r, in2 -> out_t) with amplitude factor
 i * sigma(parity); the rule is written in h/v.  Wave plates are standard
-retarders about their fast axis.  Delays only add their offset to the output
-state's `delays` (distinguishability is applied statistically by the analysis
-layer).
+retarders about their fast axis.  Delays only record their offset on the state
+(distinguishability is applied statistically by the analysis layer).
 
 Circuits are ordered element lists over a registry of named paths, applied
 left to right; every element conserves the photon-pair norm.  The JSON schema

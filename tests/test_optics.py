@@ -165,6 +165,8 @@ def test_each_element_is_compiled_once_per_parity(monkeypatch):
     optics._compiled.cache_clear()
     for pump in (gaussian_pump(), hg01_pump(), hg01_pump(), gaussian_pump(), hg01_pump()):
         run_circuit(circ, _prepared("psi+", pump))
+    # the same circuit read back from JSON shares the compiled form
+    run_circuit(circuit_from_json(circuit_to_json(circ)), _prepared("psi-", hg01_pump()))
     assert Counter(calls) == Counter((el, par) for el in circ.elements for par in (EVEN, ODD))
 
 
