@@ -244,13 +244,15 @@ def cmd_field(args: argparse.Namespace) -> int:
     if not math.isfinite(pump.wave_number):
         raise ConfigError(f"pump wavelength {_fmt(args.pump_wavelength)} m is out of range for a "
                           "field map: its wave number is not finite")
+    culprit = f"waist {_fmt(args.waist)} m"  # unless it passes at the default pump wavelength
     try:  # hg_field divides by the Rayleigh range, squares z / zR and zR / z, and squares w(z)
-        hgmodes.beam_radius(pump.mode, args.z) ** 2
-        hgmodes.wavefront_radius(pump.mode, args.z)
+        for mode in (hgmodes.HGMode(pump.mode.m, pump.mode.n, args.waist), pump.mode):
+            hgmodes.beam_radius(mode, args.z) ** 2
+            hgmodes.wavefront_radius(mode, args.z)
+            culprit = f"pump wavelength {_fmt(args.pump_wavelength)} m"
     except (OverflowError, ZeroDivisionError):
-        raise ConfigError(f"waist {_fmt(args.waist)} m is out of range for a field map: its beam "
-                          f"radius, squared, or wavefront curvature at z={_fmt(args.z)} m is not "
-                          f"finite (pump wavelength {_fmt(args.pump_wavelength)} m)") from None
+        raise ConfigError(f"{culprit} is out of range for a field map: the beam radius, squared, "
+                          f"or wavefront curvature at z={_fmt(args.z)} m is not finite") from None
     lo, hi, n = parse_grid(args.grid)
     step = (hi - lo) / (n - 1)
     r2 = DetectorPoint(args.x2, args.y2, args.z)

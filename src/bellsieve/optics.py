@@ -4,9 +4,9 @@ Each element type defines its physics once: `ports()` gives its input and
 output paths `(ins, outs)`, and `mode_map(modes)` the h/v images of h/v modes
 on its inputs.  The engine compiles each circuit once (`Circuit.compiled`):
 every element becomes one small block per parity, built from its `mode_map`.
-`run_states` writes a stack of states in h/v, so every path stays in h/v; the
-stack enters once as dense symmetric pair matrices (see `twophoton`), passes
-the blocks, and leaves once as `TwoPhotonState`s pruned at PRUNE_TOL.
+`run_states` takes a stack of states at any linear polarization; it enters
+once as dense symmetric pair matrices (see `twophoton`), passes the blocks,
+and leaves once, every path in h/v, as `TwoPhotonState`s pruned at PRUNE_TOL.
 `run_circuit` runs one state, and `apply_element` a one-element circuit.
 
 The beam splitter is 50-50 and symmetric: transmission amplitude 1/sqrt(2),
@@ -47,7 +47,9 @@ from .twophoton import (
     TwoPhotonState,
     V,
     cosd,
-    rebase_all,
+    from_pair_matrices,
+    mode_map_matrix,
+    to_pair_matrices,
 )
 
 Ports = Tuple[Tuple[str, ...], Tuple[str, ...]]  # (ins, outs)
@@ -226,9 +228,9 @@ class CompiledCircuit:
     block per parity for every temporal tag, and acts as W[S, :] = B W[S, :],
     then W[:, S] = W[:, S] B^T.  Only the occupied columns are evolved: the
     stack is kept as C W0 C^T, W0 the input on its occupied modes and C their
-    images so far, so an element is C[S, :] = B C[S, :] and W = C W0 C^T is
-    formed once at the end.  The layout for a set of sectors is built on first
-    use of that set and kept.
+    h/v images so far, so an element is C[S, :] = B C[S, :] and W = C W0 C^T
+    is formed once at the end.  The layout for a set of sectors is built on
+    first use of that set and kept.
     """
 
     def __init__(self, paths: Tuple[str, ...], elements: Tuple[Element, ...]) -> None:
@@ -245,16 +247,12 @@ class CompiledCircuit:
         its `mode_map` as a matrix over them, or None for the identity."""
         ins, outs = el.ports()
         touched = [(p, pol) for p in ins + tuple(p for p in outs if p not in ins) for pol in (H, V)]
-        slot = {mode: k for k, mode in enumerate(touched)}
         blocks = {}
         for parity in (EVEN, ODD):
-            mapping = el.mode_map([PhotonMode(p, pol, parity) for p in ins for pol in (H, V)])
-            cols = [[1.0 if r == k else 0j for r in range(len(slot))] for k in range(len(slot))]
-            for m, images in mapping.items():  # modes absent from the map stay put
-                col = cols[slot[m.path, m.pol]] = [0j] * len(slot)
-                for image, c in images:
-                    col[slot[image.path, image.pol]] += c
-            blocks[parity] = np.array(cols, dtype=complex).T if mapping else None
+            modes = [PhotonMode(p, pol, parity) for p, pol in touched]
+            mapping = el.mode_map(modes[:2 * len(ins)])
+            index = {m: k for k, m in enumerate(modes)}
+            blocks[parity] = mode_map_matrix(mapping, modes, index) if mapping else None
         return [2 * rank[p] + (0 if pol == H else 1) for p, pol in touched], 2 * len(ins), blocks
 
     def _layout(self, sectors: Tuple[Tuple[str, int], ...]):
@@ -280,40 +278,26 @@ class CompiledCircuit:
         return layout
 
     def run(self, states: Sequence[TwoPhotonState]) -> List[TwoPhotonState]:
-        """Evolve a stack of h/v states in one pass; renormalize each exactly.
+        """Evolve a stack of states in one pass; renormalize each exactly.
 
-        Raises on a mode outside the registry or outside h/v, on a fresh
-        output path that holds an amplitude above PRUNE_TOL just before its
-        element, and on a norm drift beyond NORM_TOL (a broken element map).
+        Raises on a mode outside the registry, on a fresh output path that
+        holds an amplitude above PRUNE_TOL just before its element, and on a
+        norm drift beyond NORM_TOL (a broken element map).
         """
-        occupied = {m for state in states for pair in state.terms for m in pair}
+        occupied = sorted({m for state in states for pair in state.terms for m in pair})
         unknown = {m.path for m in occupied}.difference(self.paths)
         if unknown:
             raise ValueError(f"state occupies unregistered paths: {sorted(unknown)}")
-        off_basis = sorted(m for m in occupied if m.pol not in (H, V))
-        if off_basis:  # mode_map reads every pol as H or V; rebase_all(state, H) first
-            raise ValueError(f"input mode {off_basis[0]} is not written in h/v")
         sectors = tuple(sorted({(m.parity, m.temporal) for m in occupied})) or ((EVEN, 0),)
         modes, index, ops = self._layout(sectors)
-        occupied = sorted(occupied)  # mode order is index order
-        column = {m: k for k, m in enumerate(occupied)}
+        w = to_pair_matrices(states, {m: k for k, m in enumerate(occupied)})
 
-        batch, ij, amps = [], [], []
-        for k, state in enumerate(states):
-            batch += [k] * len(state.terms)
-            ij += [column[m] for pair in state.terms for m in pair]
-            amps += state.terms.values()
-        batch = np.array(batch, dtype=np.intp)
-        i, j = np.array(ij, dtype=np.intp).reshape(-1, 2).T
-        amps = np.array(amps, dtype=complex)
-        amps[i == j] *= SQRT2
-        w = np.zeros((len(states), len(occupied), len(occupied)), dtype=complex)
-        w[batch, i, j] = amps
-        w[batch, j, i] = amps
-
-        # the whole stack is C w C^T, C the images of the occupied modes so far
+        # the whole stack is C w C^T, C the h/v images of the occupied modes so
+        # far; a mode at angle a enters as the column cos(a) e_H + sin(a) e_V
         c = np.zeros((len(modes), len(occupied)), dtype=complex)
-        c[[index[m] for m in occupied], range(len(occupied))] = 1.0
+        for pol in (H, V):
+            c[[index[m.path, pol, m.parity, m.temporal] for m in occupied],
+              range(len(occupied))] = [cosd(m.pol - pol) for m in occupied]
         for rows, stack, fresh in ops:
             if fresh.size and c[fresh].any():  # exact zeros when nothing reaches them
                 before = abs(c[fresh] @ w @ c.T) > PRUNE_TOL  # rows of the fresh outputs
@@ -325,27 +309,16 @@ class CompiledCircuit:
         live = np.flatnonzero(c.any(axis=1))  # modes the stack can occupy now
         c = c[live]
         w = c @ w @ c.T
-
-        diagonal = np.arange(len(live))
-        w[:, diagonal, diagonal] /= SQRT2  # now pair amplitudes on and above the diagonal
-        k, i, j = np.nonzero(abs(w) > PRUNE_TOL)
-        upper = i <= j
-        k, i, j = k[upper], i[upper], j[upper]
-        amps = w[k, i, j]
-        norms = np.sqrt(np.bincount(k, abs(amps) ** 2, len(states)))
-        amps = (amps / norms[k]).tolist()
-        i, j = live[i].tolist(), live[j].tolist()
-        ends = np.cumsum(np.bincount(k, minlength=len(states))).tolist()
-        out = []
-        for state, norm, start, end in zip(states, norms.tolist(), [0] + ends, ends):
+        norms = np.sqrt((abs(w) ** 2).sum(axis=(1, 2)) / 2)
+        for norm in norms.tolist():
             if abs(norm - 1.0) > NORM_TOL:
                 raise RuntimeError(f"internal error: circuit norm drifted to {norm!r}")
-            keys = [(modes[a], modes[b]) for a, b in zip(i[start:end], j[start:end])]
-            delays = dict(state.delays)
+        w /= norms[:, None, None]
+        delays = [dict(state.delays) for state in states]
+        for state_delays in delays:
             for path, delta in self.delays:
-                delays[path] = delays.get(path, 0.0) + delta
-            out.append(TwoPhotonState(dict(zip(keys, amps[start:end])), delays))
-        return out
+                state_delays[path] = state_delays.get(path, 0.0) + delta
+        return from_pair_matrices(w, [modes[r] for r in live], delays)
 
 
 @functools.lru_cache(maxsize=8)
@@ -354,19 +327,19 @@ def _compiled(paths: Tuple[str, ...], elements: Tuple[Element, ...]) -> Compiled
 
 
 def apply_element(state: TwoPhotonState, el: Element) -> TwoPhotonState:
-    """Run a state written in h/v through the one-element circuit of `el`."""
+    """Run a state through the one-element circuit of `el`."""
     ins, outs = el.ports()
     paths = tuple(dict.fromkeys(sorted(state.paths()) + list(ins + outs)))
     return Circuit(paths, (el,)).compiled.run([state])[0]
 
 
 def run_states(circuit: Circuit, states: Sequence[TwoPhotonState]) -> List[TwoPhotonState]:
-    """Write each state in h/v and push the stack through the compiled circuit."""
-    return circuit.compiled.run([rebase_all(state, H) for state in states])
+    """Push the stack of states through the compiled circuit."""
+    return circuit.compiled.run(states)
 
 
 def run_circuit(circuit: Circuit, state: TwoPhotonState) -> TwoPhotonState:
-    """Write the state in h/v, apply the elements left to right, renormalize exactly.
+    """Apply the elements left to right to the state, renormalize exactly.
 
     A norm drift beyond NORM_TOL indicates a broken element map and raises.
     """

@@ -9,18 +9,18 @@ normalized pair basis: for distinct modes i != j the basis vector is
 a_i^dag a_j^dag |0>, and for i == j it is (a_i^dag)^2 |0> / sqrt(2), so the
 norm is just sum |amplitude|^2.
 
-The circuit engine (`optics`) takes and returns these pair maps and works on
-another form in between: a symmetric complex matrix W over single-photon
-modes, W[i, j] = W[j, i] the amplitude of the pair (i, j) for i != j and
-W[i, i] = sqrt(2) times that of two photons in mode i.  A single-photon
-linear map M acts on it as W -> M W M^T, and the norm is |W|_F^2 / 2.  The
-engine drops amplitudes below PRUNE_TOL only when a state leaves W; the pair
-map operations here (basis changes, pump-parity attachment) prune their own
-results.
+Linear optics works on another form: a symmetric complex matrix W over a
+list of single-photon modes, W[i, j] = W[j, i] the amplitude of the pair
+(i, j) for i != j and W[i, i] = sqrt(2) times that of two photons in mode i.
+`to_pair_matrices` and `from_pair_matrices` convert a stack of states to and
+from it, and a state leaves W pruned at PRUNE_TOL.  A single-photon linear
+map M acts on W as W -> M W M^T, and the norm is |W|_F^2 / 2.
+`apply_mode_map` is that lift for a map given mode by mode; the circuit engine
+(`optics`) runs whole circuits on the same form.
 
 Polarization is a linear-polarization angle in degrees, reduced to [0, 180).
-The circuit engine keeps every path in the h/v basis; `rebase_paths` rewrites
-paths exactly in other orthogonal bases {theta, theta+90}, in one pass, for detection.
+The engine returns every path in h/v; `rebase_paths` rewrites paths exactly
+in other orthogonal bases {theta, theta+90}, in one pass, for detection.
 
 The transverse degree of freedom is tracked per photon as an even/odd
 y-parity label.  The joint (product) parity equals the pump beam's y-parity;
@@ -32,6 +32,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,16 +133,6 @@ def _pruned(terms: Dict[PairKey, complex]) -> Dict[PairKey, complex]:
     return {k: a for k, a in terms.items() if abs(a) > PRUNE_TOL}
 
 
-def _pair_basis(coefficients: Dict[PairKey, complex]) -> Dict[PairKey, complex]:
-    """Creation-operator coefficients as pruned normalized-pair-basis amplitudes."""
-    res: Dict[PairKey, complex] = {}
-    for (k1, k2), a in coefficients.items():
-        val = a * SQRT2 if k1 == k2 else a
-        if abs(val) > PRUNE_TOL:
-            res[(k1, k2)] = val
-    return res
-
-
 def make_state(
     terms: Mapping[Tuple[PhotonMode, PhotonMode], complex],
     delays: Optional[Mapping[str, float]] = None,
@@ -158,24 +150,56 @@ def make_state(
     return TwoPhotonState(acc, dict(delays or {}))
 
 
-def apply_mode_map(state: TwoPhotonState, mapping: ModeMap) -> TwoPhotonState:
-    """Lift a single-photon linear map to the two-photon state.
+def to_pair_matrices(states: Sequence[TwoPhotonState],
+                     index: Mapping[PhotonMode, int]) -> np.ndarray:
+    """The states as a stack of pair matrices W over `index` (mode -> row and column)."""
+    batch = np.repeat(np.arange(len(states)), [len(state.terms) for state in states])
+    ij = [index[m] for state in states for pair in state.terms for m in pair]
+    i, j = np.array(ij, dtype=np.intp).reshape(-1, 2).T
+    amps = np.array([a for state in states for a in state.terms.values()], dtype=complex)
+    amps[i == j] *= SQRT2
+    w = np.zeros((len(states), len(index), len(index)), dtype=complex)
+    w[batch, i, j] = amps
+    w[batch, j, i] = amps
+    return w
 
-    Modes absent from the mapping are left untouched.  Works in the
-    creation-operator monomial picture so that two-photons-in-one-mode terms
-    keep their bosonic weights; the result is pruned but not renormalized
-    (unitary maps preserve the norm analytically).
-    """
-    out: Dict[PairKey, complex] = {}
-    for (m1, m2), amp in state.terms.items():
-        a = amp / SQRT2 if m1 == m2 else amp
-        img1 = mapping.get(m1, ((m1, 1.0),))
-        img2 = mapping.get(m2, ((m2, 1.0),))
-        for k1, c1 in img1:
-            for k2, c2 in img2:
-                key = pair_key(k1, k2)
-                out[key] = out.get(key, 0j) + a * c1 * c2
-    return TwoPhotonState(_pair_basis(out), dict(state.delays))
+
+def from_pair_matrices(w: np.ndarray, modes: Sequence[PhotonMode],
+                       delays: Sequence[Dict[str, float]]) -> List[TwoPhotonState]:
+    """The stack `w` over ascending `modes` as states, each pruned at PRUNE_TOL
+    (not renormalized) and given its `delays` dict.  Overwrites `w`."""
+    diagonal = np.einsum("kii->ki", w)  # a view
+    diagonal /= SQRT2  # now pair amplitudes on and above the diagonal
+    k, i, j = np.nonzero(abs(w) > PRUNE_TOL)
+    upper = i <= j
+    k, i, j = k[upper], i[upper], j[upper]
+    amps = w[k, i, j].tolist()
+    i, j = i.tolist(), j.tolist()
+    ends = np.cumsum(np.bincount(k, minlength=len(w))).tolist()
+    return [TwoPhotonState({(modes[a], modes[b]): amp for a, b, amp
+                            in zip(i[start:end], j[start:end], amps[start:end])}, state_delays)
+            for state_delays, start, end in zip(delays, [0] + ends, ends)]
+
+
+def mode_map_matrix(mapping: ModeMap, sources: Sequence[PhotonMode],
+                    index: Mapping[PhotonMode, int]) -> np.ndarray:
+    """The map's matrix from `sources` (columns) to `index` (mode -> row); modes
+    absent from the mapping stay put."""
+    matrix = np.zeros((len(index), len(sources)), dtype=complex)
+    for col, m in enumerate(sources):
+        for image, c in mapping.get(m, ((m, 1.0),)):
+            matrix[index[image], col] += c
+    return matrix
+
+
+def apply_mode_map(state: TwoPhotonState, mapping: ModeMap) -> TwoPhotonState:
+    """Lift a single-photon linear map M to the state, W -> M W M^T; the result
+    is pruned but not renormalized (unitary maps preserve the norm)."""
+    occupied = sorted({m for pair in state.terms for m in pair})
+    modes = sorted({image for m in occupied for image, _ in mapping.get(m, ((m, 1.0),))})
+    lift = mode_map_matrix(mapping, occupied, {m: r for r, m in enumerate(modes)})
+    w = to_pair_matrices([state], {m: k for k, m in enumerate(occupied)})
+    return from_pair_matrices(lift @ w @ lift.T, modes, [dict(state.delays)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +281,8 @@ def attach_pump_parity(state: TwoPhotonState, pump) -> TwoPhotonState:
         for pa, pb in ((EVEN, ODD), (ODD, EVEN)):
             k = pair_key(m1.with_parity(pa), m2.with_parity(pb))
             out[k] = out.get(k, 0j) + a / SQRT2
-    return TwoPhotonState(_pair_basis(out), dict(state.delays))
+    # the photons of a pair now differ in parity, so each coefficient is its amplitude
+    return TwoPhotonState(_pruned(out), dict(state.delays))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +359,8 @@ def rebase_paths(state: TwoPhotonState, bases: Mapping[str, float]) -> TwoPhoton
             basis = axes.get(m.path)
             if basis is None or m.pol in basis or m in mapping:
                 continue
-            mapping[m] = tuple((m.with_pol(axis), cosd(m.pol - axis)) for axis in basis)
+            mapping[m] = tuple((PhotonMode._make((m.path, axis, m.parity, m.temporal)),
+                                cosd(m.pol - axis)) for axis in basis)  # fields already valid
     if not mapping:
         return state
     return apply_mode_map(state, mapping)
@@ -346,10 +372,8 @@ def rebase_path(state: TwoPhotonState, path: str, basis_angle: float) -> TwoPhot
 
 
 def rebase_all(state: TwoPhotonState, basis_angle: float = 0.0) -> TwoPhotonState:
-    """`rebase_paths` on the paths that hold a mode outside the basis."""
-    basis = (normalize_angle(basis_angle), normalize_angle(basis_angle + 90.0))
-    off_basis = {m.path for pair in state.terms for m in pair if m.pol not in basis}
-    return rebase_paths(state, dict.fromkeys(off_basis, basis_angle)) if off_basis else state
+    """`rebase_paths` on every path of the state."""
+    return rebase_paths(state, dict.fromkeys(state.paths(), basis_angle))
 
 
 def pol_pair_probs(state: TwoPhotonState) -> Dict[Tuple[Tuple[str, float], Tuple[str, float]], float]:

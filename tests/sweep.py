@@ -14,14 +14,17 @@ side-21 grid with the second photon off axis (16), one side-101 map, and
 45/45b detectors) for gauss and hg01 in json and csv (4).  Each call
 contributes one JSON line [argv, exit code, stdout, stderr] to a sha256; the
 script prints the call count and the hex digest after the first 256 calls and
-after all of them.  It runs from the repository root whatever the working
-directory.  pytest does not collect this file.
+after all of them.  Every call must exit 0 with nothing on stderr: the script
+names each one that does not on stderr and then exits 1.  It runs from the
+repository root whatever the working directory.  pytest does not collect this
+file.
 """
 import contextlib
 import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 from bellsieve import cli
@@ -78,12 +81,20 @@ def main() -> None:
     os.chdir(Path(__file__).resolve().parent.parent)
     digest = hashlib.sha256()
     count = 0
+    failed = []
     for group in (calls(), more_calls()):
         for argv in group:
-            digest.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
+            code, out, err = run(argv)
+            digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
             count += 1
+            if code != 0 or err:
+                failed.append(f"exit {code}: {' '.join(argv)}: {err.strip()}")
         print(f"calls {count}")
         print(f"sha256 {digest.hexdigest()}")
+    for line in failed:
+        print(f"sweep call failed: {line}", file=sys.stderr)
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

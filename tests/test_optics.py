@@ -40,6 +40,8 @@ from bellsieve.twophoton import (
     inner_product,
     joint_parities,
     make_state,
+    pair_key,
+    rebase_all,
 )
 
 from helpers import random_circuit, random_state
@@ -224,15 +226,36 @@ def test_qwp_twice_equals_hwp():
         assert equal_up_to_global_phase(twice, once, tol=1e-12)
 
 
-def test_apply_element_rejects_a_mode_outside_hv():
+def test_apply_element_takes_a_mode_at_any_angle():
     # a 45-degree photon read as V would leave the plate as one term of -1
     s = make_state({(PhotonMode("1", DIAG), PhotonMode("2", H)): 1.0})
     plate = WavePlate("1", "half", 0.0)
-    with pytest.raises(ValueError, match="not written in h/v"):
-        apply_element(s, plate)
-    out = run_circuit(Circuit(paths=("1", "2"), elements=(plate,)), s)
-    assert sorted(out.terms.values(), key=lambda a: a.real) == pytest.approx(
-        [-1 / math.sqrt(2), 1 / math.sqrt(2)])
+    out = apply_element(s, plate)
+    assert out.terms == run_circuit(Circuit(paths=("1", "2"), elements=(plate,)), s).terms
+    assert out.terms == pytest.approx({(PhotonMode("1", H), PhotonMode("2", H)): 1 / math.sqrt(2),
+                                       (PhotonMode("1", V), PhotonMode("2", H)): -1 / math.sqrt(2)})
+
+
+def test_off_basis_inputs_run_as_their_hv_form():
+    # each path holds a pair of orthogonal modes at 0, 30, 45 or 112.5 degrees
+    rng = random.Random(1111)
+    for _ in range(30):
+        circ = random_circuit(rng)
+        modes = [PhotonMode(p, axis + turn) for p in circ.paths
+                 for axis in [rng.choice((H, 30.0, DIAG, 112.5))] for turn in (0.0, 90.0)]
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            k = pair_key(rng.choice(modes), rng.choice(modes))
+            terms[k] = terms.get(k, 0j) + complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+        base = make_state({k: a / norm for k, a in terms.items()})
+        for pump in (gaussian_pump(), hg01_pump()):
+            state = attach_pump_parity(base, pump)
+            direct = run_circuit(circ, state)
+            written = run_circuit(circ, rebase_all(state, H))
+            for k in direct.terms.keys() | written.terms.keys():
+                assert abs(direct.amplitude(*k) - written.amplitude(*k)) <= 1e-15
+            assert equal_up_to_global_phase(direct, oracle_apply(circ, state), tol=1e-12)
 
 
 def test_jones_matrices_are_unitary():
