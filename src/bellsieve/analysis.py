@@ -19,6 +19,7 @@ the engine: it never reads an element's `mode_map`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,7 +37,6 @@ from .optics import (
     PolarizingBS,
     WavePlate,
     run_circuit,
-    run_states,
     waveplate_jones,
 )
 from .twophoton import (
@@ -44,19 +44,22 @@ from .twophoton import (
     EVEN,
     H,
     ODD,
+    PRUNE_TOL,
     SQRT2,
     V,
     BellKind,
     PhotonMode,
     TwoPhotonState,
     attach_pump_parity,
+    basis_map,
     bell_state,
     equal_up_to_global_phase,
     hyper_state,
+    mode_map_onto,
     normalize_angle,
-    pair_key,
+    occupied_modes,
     rebase_all,
-    rebase_paths,
+    to_pair_matrices,
 )
 
 SUPPORT_TOL = 1e-12
@@ -145,23 +148,56 @@ def event_distribution(state: TwoPhotonState, layout: DetectorLayout) -> Dict[Ev
     """Born-rule probabilities over detection events.
 
     Each detected path is analyzed in its ports' basis; detectors bucket over
-    parity and temporal tags.  Raises if a populated path/port has no detector.
+    parity and temporal tags.  The state enters as its pair matrix and goes
+    through the same contraction as a signature table's stack (see
+    `_event_distributions`); events of probability at or below PRUNE_TOL**2
+    are dropped.  Raises if a populated path/port has no detector.
+    """
+    modes = sorted(occupied_modes(state))
+    w = to_pair_matrices([state], {m: k for k, m in enumerate(modes)})
+    return _event_distributions(w, modes, layout)[0]
+
+
+def _event_distributions(w: np.ndarray, modes: Sequence[PhotonMode],
+                         layout: DetectorLayout) -> List[Dict[Event, float]]:
+    """Event probabilities of each pair matrix in the stack `w` over `modes`.
+
+    R writes each detected path in its ports' basis (entries cos(pol - port)
+    on the mode's own path) and leaves other modes as they are; its rows are
+    the rewritten modes, each a (detector, parity, tag) slot or uncovered.
+    W' = R W R^T holds the rewritten states, and the probability of the event
+    {a, b} is the sum of |pair amplitude|^2 over the pairs of slots of a and b
+    (the pair amplitude of a doubly occupied slot is W'[r, r] / sqrt(2)).
     """
     ports = layout.by_path()
-    out = rebase_paths(state, {path: min(a % 90.0 for a in angle_map)
-                               for path, angle_map in ports.items()})
-    probs: Dict[Event, float] = {}
-    for (m1, m2), amp in out.terms.items():
-        ids = []
-        for m in (m1, m2):
-            angle_map = ports.get(m.path)
-            det = None if angle_map is None else angle_map.get(m.pol)
-            if det is None:
-                raise ValueError(f"no detector covers path {m.path!r} at {m.pol} deg")
-            ids.append(det)
-        ev: Event = tuple(sorted(ids))  # type: ignore[assignment]
-        probs[ev] = probs.get(ev, 0.0) + abs(amp) ** 2
-    return probs
+    rows, r = mode_map_onto(basis_map(modes, {path: min(a % 90.0 for a in angle_map)
+                                              for path, angle_map in ports.items()}), modes)
+    order = np.arange(len(rows))
+    i, j = np.nonzero(order[:, None] <= order)  # each pair of slots once, row-major
+    amps = (r @ w @ r.T)[:, i, j]
+    amps[:, i == j] /= SQRT2  # pair amplitudes of the rewritten states
+    ids = sorted(d.id for d in layout.detectors)
+    rank = {d: k for k, d in enumerate(ids)}
+    det = np.array([rank[ports[m.path][m.pol]] if m.pol in ports.get(m.path, ()) else -1
+                    for m in rows], dtype=np.intp)
+    a, b = det[i], det[j]
+    covered = (a >= 0) & (b >= 0)
+    if not covered.all():
+        _, hits = np.nonzero(~covered & (abs(amps) > PRUNE_TOL))
+        if hits.size:
+            first = hits[0]  # the first populated pair, in state and row order
+            m = rows[i[first]] if a[first] < 0 else rows[j[first]]
+            raise ValueError(f"no detector covers path {m.path!r} at {m.pol} deg")
+    n = len(ids)
+    event = (np.minimum(a, b) * n + np.maximum(a, b))[covered]  # the sorted id pair
+    index = np.arange(len(w))[:, None] * (n * n) + event
+    probs = np.bincount(index.ravel(), weights=(abs(amps[:, covered]) ** 2).ravel(),
+                        minlength=len(w) * n * n).reshape(len(w), n * n)
+    out: List[Dict[Event, float]] = [{} for _ in range(len(w))]
+    k, e = np.nonzero(probs > PRUNE_TOL ** 2)
+    for state, pair, prob in zip(k.tolist(), e.tolist(), probs[k, e].tolist()):
+        out[state][ids[pair // n], ids[pair % n]] = prob
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,10 +228,9 @@ def signature_table(
     pump_parity: Optional[int] = None,
     overlap: Optional[float] = None,
 ) -> SignatureTable:
+    w, modes = circuit.compiled.run([state for _, state in inputs])
     entries = {}
-    outputs = run_states(circuit, [state for _, state in inputs])
-    for (label, _), out in zip(inputs, outputs):
-        dist = event_distribution(out, layout)
+    for (label, _), dist in zip(inputs, _event_distributions(w, modes, layout)):
         total = sum(dist.values())
         if abs(total - 1.0) > 1e-9:
             raise RuntimeError(f"event distribution for {label} sums to {total!r}")
@@ -496,8 +531,9 @@ def circuit_mode_basis(
     max_modes: int = 32,
 ) -> List[PhotonMode]:
     """Global h/v mode basis spanning the circuit paths and the state's labels."""
-    parities = sorted({m.parity for k in state.terms for m in k}) or [EVEN]
-    temporals = sorted({m.temporal for k in state.terms for m in k}) or [0]
+    occupied = {m for k in state.terms for m in k}
+    parities = sorted({m.parity for m in occupied}) or [EVEN]
+    temporals = sorted({m.temporal for m in occupied}) or [0]
     modes = [
         PhotonMode(p, pol, par, t)
         for p in circuit.paths
@@ -607,25 +643,21 @@ def single_photon_unitary(circuit: Circuit, modes: List[PhotonMode]) -> np.ndarr
 
 def oracle_apply(circuit: Circuit, state: TwoPhotonState, max_modes: int = 32) -> TwoPhotonState:
     """Dense reference evolution on the symmetric two-photon space."""
-    modes = circuit_mode_basis(circuit, state, max_modes)
+    modes = sorted(circuit_mode_basis(circuit, state, max_modes))  # so i <= j is a pair key
     idx = {m: i for i, m in enumerate(modes)}
     hv = rebase_all(state, H)
-    m_count = len(modes)
-    w = np.zeros((m_count, m_count), dtype=complex)
-    for (m1, m2), amp in hv.terms.items():
-        i, j = idx[m1], idx[m2]
-        if i == j:
-            w[i, i] = amp
-        else:
-            w[i, j] = w[j, i] = amp / SQRT2
+    i, j = np.fromiter(map(idx.__getitem__, itertools.chain.from_iterable(hv.terms)),
+                       dtype=np.intp, count=2 * len(hv.terms)).reshape(-1, 2).T
+    amps = np.fromiter(hv.terms.values(), dtype=complex, count=len(hv.terms))
+    w = np.zeros((len(modes), len(modes)), dtype=complex)
+    w[i, j] = w[j, i] = np.where(i == j, amps, amps / SQRT2)
     u = single_photon_unitary(circuit, modes)
     wp = u @ w @ u.T
-    terms = {}
-    for i in range(m_count):
-        for j in range(i, m_count):
-            amp = wp[i, i] if i == j else SQRT2 * wp[i, j]
-            if abs(amp) > SUPPORT_TOL:
-                terms[pair_key(modes[i], modes[j])] = complex(amp)
+    i, j = np.triu_indices(len(modes))
+    amps = np.where(i == j, 1.0, SQRT2) * wp[i, j]
+    keep = np.flatnonzero(abs(amps) > SUPPORT_TOL)
+    terms = {(modes[a], modes[b]): amp
+             for a, b, amp in zip(i[keep].tolist(), j[keep].tolist(), amps[keep].tolist())}
     return TwoPhotonState(terms, dict(state.delays))
 
 

@@ -245,6 +245,8 @@ def cmd_field(args: argparse.Namespace) -> int:
         raise ConfigError(f"pump wavelength {_fmt(args.pump_wavelength)} m is out of range for a "
                           "field map: its wave number is not finite")
     culprit = f"waist {_fmt(args.waist)} m"  # unless it passes at the default pump wavelength
+    if args.waist == hgmodes.DEFAULT_WAIST and args.pump_wavelength == hgmodes.PUMP_WAVELENGTH:
+        culprit = f"detection plane z {_fmt(args.z)} m"  # both at their defaults
     try:  # hg_field divides by the Rayleigh range, squares z / zR and zR / z, and squares w(z)
         for mode in (hgmodes.HGMode(pump.mode.m, pump.mode.n, args.waist), pump.mode):
             hgmodes.beam_radius(mode, args.z) ** 2

@@ -229,8 +229,10 @@ class CompiledCircuit:
     then W[:, S] = W[:, S] B^T.  Only the occupied columns are evolved: the
     stack is kept as C W0 C^T, W0 the input on its occupied modes and C their
     h/v images so far, so an element is C[S, :] = B C[S, :] and W = C W0 C^T
-    is formed once at the end.  The layout for a set of sectors is built on
-    first use of that set and kept.
+    is formed once at the end.  `run` returns that W, renormalized, with its
+    live modes; `run_states` turns it into states and detection
+    (`analysis.signature_table`) reads it as it is.  The layout for a set of
+    sectors is built on first use of that set and kept.
     """
 
     def __init__(self, paths: Tuple[str, ...], elements: Tuple[Element, ...]) -> None:
@@ -277,8 +279,9 @@ class CompiledCircuit:
         self._layouts[sectors] = layout
         return layout
 
-    def run(self, states: Sequence[TwoPhotonState]) -> List[TwoPhotonState]:
-        """Evolve a stack of states in one pass; renormalize each exactly.
+    def run(self, states: Sequence[TwoPhotonState]) -> Tuple[np.ndarray, List[PhotonMode]]:
+        """Evolve a stack of states in one pass: the stack W, each state
+        renormalized exactly, over its live modes in ascending order.
 
         Raises on a mode outside the registry, on a fresh output path that
         holds an amplitude above PRUNE_TOL just before its element, and on a
@@ -314,11 +317,7 @@ class CompiledCircuit:
             if abs(norm - 1.0) > NORM_TOL:
                 raise RuntimeError(f"internal error: circuit norm drifted to {norm!r}")
         w /= norms[:, None, None]
-        delays = [dict(state.delays) for state in states]
-        for state_delays in delays:
-            for path, delta in self.delays:
-                state_delays[path] = state_delays.get(path, 0.0) + delta
-        return from_pair_matrices(w, [modes[r] for r in live], delays)
+        return w, [modes[r] for r in live.tolist()]
 
 
 @functools.lru_cache(maxsize=8)
@@ -330,12 +329,19 @@ def apply_element(state: TwoPhotonState, el: Element) -> TwoPhotonState:
     """Run a state through the one-element circuit of `el`."""
     ins, outs = el.ports()
     paths = tuple(dict.fromkeys(sorted(state.paths()) + list(ins + outs)))
-    return Circuit(paths, (el,)).compiled.run([state])[0]
+    return run_states(Circuit(paths, (el,)), [state])[0]
 
 
 def run_states(circuit: Circuit, states: Sequence[TwoPhotonState]) -> List[TwoPhotonState]:
-    """Push the stack of states through the compiled circuit."""
-    return circuit.compiled.run(states)
+    """Push the stack of states through the compiled circuit; each leaves
+    pruned at PRUNE_TOL, with the circuit's delays added to its own."""
+    compiled = circuit.compiled
+    w, modes = compiled.run(states)
+    delays = [dict(state.delays) for state in states]
+    for state_delays in delays:
+        for path, delta in compiled.delays:
+            state_delays[path] = state_delays.get(path, 0.0) + delta
+    return from_pair_matrices(w, modes, delays)
 
 
 def run_circuit(circuit: Circuit, state: TwoPhotonState) -> TwoPhotonState:

@@ -19,8 +19,9 @@ map M acts on W as W -> M W M^T, and the norm is |W|_F^2 / 2.
 (`optics`) runs whole circuits on the same form.
 
 Polarization is a linear-polarization angle in degrees, reduced to [0, 180).
-The engine returns every path in h/v; `rebase_paths` rewrites paths exactly
-in other orthogonal bases {theta, theta+90}, in one pass, for detection.
+The engine returns every path in h/v.  `basis_map` writes paths exactly in
+other orthogonal bases {theta, theta+90}; `rebase_paths` lifts that map onto a
+state in one pass, and detection (`analysis`) folds it into its contraction.
 
 The transverse degree of freedom is tracked per photon as an even/odd
 y-parity label.  The joint (product) parity equals the pump beam's y-parity;
@@ -28,6 +29,7 @@ a y-reflection acts on a photon as (-1)^parity.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -113,7 +115,7 @@ class TwoPhotonState:
     delays: Dict[str, float] = field(default_factory=dict)
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.terms.values())
+        return float((abs(_amplitudes(self.terms.values(), len(self.terms))) ** 2).sum())
 
     def paths(self) -> set:
         out = set()
@@ -133,21 +135,41 @@ def _pruned(terms: Dict[PairKey, complex]) -> Dict[PairKey, complex]:
     return {k: a for k, a in terms.items() if abs(a) > PRUNE_TOL}
 
 
+def _amplitudes(values: Iterable[complex], count: int) -> np.ndarray:
+    return np.fromiter(values, dtype=complex, count=count)
+
+
+def occupied_modes(state: TwoPhotonState) -> set:
+    """The distinct modes the state's terms hold."""
+    return {m for pair in state.terms for m in pair}
+
+
 def make_state(
     terms: Mapping[Tuple[PhotonMode, PhotonMode], complex],
     delays: Optional[Mapping[str, float]] = None,
 ) -> TwoPhotonState:
-    """Build a state from (possibly unordered-keyed) terms; enforce normalization."""
-    acc: Dict[PairKey, complex] = {}
-    for (m1, m2), a in terms.items():
-        k = pair_key(m1, m2)
-        acc[k] = acc.get(k, 0j) + complex(a)
-    acc = _pruned(acc)
-    n = math.sqrt(sum(abs(a) ** 2 for a in acc.values()))
+    """Build a state from (possibly unordered-keyed) terms; enforce normalization.
+
+    Terms with the same canonical key are summed in term order, then those at
+    or below PRUNE_TOL are dropped and the rest normalized exactly.
+    """
+    slots: Dict[PairKey, int] = {}
+    slot = np.array([slots.setdefault(k if k[0] <= k[1] else (k[1], k[0]), len(slots))
+                     for k in terms], dtype=np.intp)
+    given = _amplitudes(terms.values(), len(slot))
+    acc = np.empty(len(slots), dtype=complex)  # bincount adds each slot's terms in order
+    acc.real = np.bincount(slot, weights=given.real, minlength=len(slots))
+    acc.imag = np.bincount(slot, weights=given.imag, minlength=len(slots))
+    mags = abs(acc)
+    keep = mags > PRUNE_TOL
+    n = math.sqrt(float((mags[keep] ** 2).sum()))
     if abs(n - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |amplitude|^2 sums to {n**2:.3e}")
-    acc = {k: a / n for k, a in acc.items()}
-    return TwoPhotonState(acc, dict(delays or {}))
+    acc = acc[keep]
+    parts = acc.view(float)
+    parts /= n  # real and imaginary parts each divided exactly
+    return TwoPhotonState(dict(zip(itertools.compress(slots, keep.tolist()), acc.tolist())),
+                          dict(delays or {}))
 
 
 def to_pair_matrices(states: Sequence[TwoPhotonState],
@@ -192,12 +214,18 @@ def mode_map_matrix(mapping: ModeMap, sources: Sequence[PhotonMode],
     return matrix
 
 
+def mode_map_onto(mapping: ModeMap,
+                  sources: Sequence[PhotonMode]) -> Tuple[List[PhotonMode], np.ndarray]:
+    """The ascending images of `sources` under the map, and its matrix onto them."""
+    images = sorted({image for m in sources for image, _ in mapping.get(m, ((m, 1.0),))})
+    return images, mode_map_matrix(mapping, sources, {m: r for r, m in enumerate(images)})
+
+
 def apply_mode_map(state: TwoPhotonState, mapping: ModeMap) -> TwoPhotonState:
     """Lift a single-photon linear map M to the state, W -> M W M^T; the result
     is pruned but not renormalized (unitary maps preserve the norm)."""
-    occupied = sorted({m for pair in state.terms for m in pair})
-    modes = sorted({image for m in occupied for image, _ in mapping.get(m, ((m, 1.0),))})
-    lift = mode_map_matrix(mapping, occupied, {m: r for r, m in enumerate(modes)})
+    occupied = sorted(occupied_modes(state))
+    modes, lift = mode_map_onto(mapping, occupied)
     w = to_pair_matrices([state], {m: k for k, m in enumerate(occupied)})
     return from_pair_matrices(lift @ w @ lift.T, modes, [dict(state.delays)])[0]
 
@@ -292,16 +320,10 @@ def attach_pump_parity(state: TwoPhotonState, pump) -> TwoPhotonState:
 def inner_product(s1: TwoPhotonState, s2: TwoPhotonState) -> complex:
     """Hermitian inner product <s1|s2> over the unordered-pair basis."""
     if len(s1.terms) > len(s2.terms):
-        s1, s2 = s2, s1
-        conj = True
-    else:
-        conj = False
-    acc = 0j
-    for k, a in s1.terms.items():
-        b = s2.terms.get(k)
-        if b is not None:
-            acc += a.conjugate() * b
-    return acc.conjugate() if conj else acc
+        return inner_product(s2, s1).conjugate()
+    count = len(s1.terms)
+    other = _amplitudes(map(s2.terms.get, s1.terms, itertools.repeat(0j)), count)
+    return complex(np.vdot(_amplitudes(s1.terms.values(), count), other))
 
 
 def overlap(s1: TwoPhotonState, s2: TwoPhotonState) -> float:
@@ -343,27 +365,35 @@ def cosd(angle: float) -> float:
     return 0.0 if abs(c) < 1e-15 else c
 
 
-def rebase_paths(state: TwoPhotonState, bases: Mapping[str, float]) -> TwoPhotonState:
-    """Rewrite the modes on each path of `bases` in its basis {theta, theta+90}, in one pass.
+def basis_map(modes: Iterable[PhotonMode], bases: Mapping[str, float]) -> ModeMap:
+    """The map writing each mode on a path of `bases` in its basis {theta, theta+90}.
 
     Exact linear-polarization decomposition e(alpha) = cos(alpha-theta) e(theta)
-    + cos(alpha-phi) e(phi); a no-op for modes already in their target basis.
+    + cos(alpha-phi) e(phi); modes already in their basis, or on other paths,
+    are left out of the map, so they stay put.
     """
     axes = {}
     for path, angle in bases.items():
         theta = normalize_angle(angle)
         axes[path] = (theta, normalize_angle(theta + 90.0))
     mapping: Dict[PhotonMode, Sequence[Tuple[PhotonMode, complex]]] = {}
-    for pair in state.terms:
-        for m in pair:
-            basis = axes.get(m.path)
-            if basis is None or m.pol in basis or m in mapping:
-                continue
+    for m in modes:
+        basis = axes.get(m.path)
+        if basis is not None and m.pol not in basis:
             mapping[m] = tuple((PhotonMode._make((m.path, axis, m.parity, m.temporal)),
                                 cosd(m.pol - axis)) for axis in basis)  # fields already valid
-    if not mapping:
-        return state
-    return apply_mode_map(state, mapping)
+    return mapping
+
+
+def _rebased(state: TwoPhotonState, occupied: set, bases: Mapping[str, float]) -> TwoPhotonState:
+    mapping = basis_map(occupied, bases)
+    return apply_mode_map(state, mapping) if mapping else state
+
+
+def rebase_paths(state: TwoPhotonState, bases: Mapping[str, float]) -> TwoPhotonState:
+    """Rewrite the modes on each path of `bases` in its basis {theta, theta+90}
+    (see `basis_map`), in one pass; a no-op when every mode is already there."""
+    return _rebased(state, occupied_modes(state), bases)
 
 
 def rebase_path(state: TwoPhotonState, path: str, basis_angle: float) -> TwoPhotonState:
@@ -373,7 +403,9 @@ def rebase_path(state: TwoPhotonState, path: str, basis_angle: float) -> TwoPhot
 
 def rebase_all(state: TwoPhotonState, basis_angle: float = 0.0) -> TwoPhotonState:
     """`rebase_paths` on every path of the state."""
-    return rebase_paths(state, dict.fromkeys(state.paths(), basis_angle))
+    occupied = occupied_modes(state)
+    bases = dict.fromkeys({m.path for m in occupied}, basis_angle)
+    return _rebased(state, occupied, bases)
 
 
 def pol_pair_probs(state: TwoPhotonState) -> Dict[Tuple[Tuple[str, float], Tuple[str, float]], float]:

@@ -26,10 +26,16 @@ from bellsieve.hgmodes import gaussian_pump, hg01_pump
 from bellsieve.optics import BeamSplitter, Circuit, run_circuit
 from bellsieve.twophoton import (
     BELL_KINDS,
+    H,
+    V,
+    PhotonMode,
     attach_pump_parity,
     bell_state,
     equal_up_to_global_phase,
+    make_state,
+    pair_key,
     rebase_all,
+    rebase_paths,
 )
 
 from helpers import random_circuit, random_state
@@ -68,8 +74,76 @@ def test_incomplete_bsa_odd_pump_events():
 def test_event_distribution_requires_coverage():
     state = attach_pump_parity(bell_state("psi+", "1", "2"), gaussian_pump())
     layout = DetectorLayout((Detector("D1", "1", "H"), Detector("D2", "2", "H")))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^no detector covers path '2' at 90\.0 deg$"):
         event_distribution(state, layout)
+
+
+# the analysis ports of each detected path in the detection-law test
+LAW_PORTS = {"h/v": ("H", "V"), "45/45b": ("45", "45b"), "22.5/112.5": ("22.5", "112.5")}
+
+
+def _per_term_events(state, layout):
+    """Reference detection: rebase each detected path to its ports' basis,
+    then add |amplitude|^2 per sorted detector pair, term by term."""
+    ports = layout.by_path()
+    out = rebase_paths(state, {path: min(a % 90.0 for a in angle_map)
+                               for path, angle_map in ports.items()})
+    probs = {}
+    for (m1, m2), amp in out.terms.items():
+        event = tuple(sorted(ports[m.path][m.pol] for m in (m1, m2)))
+        probs[event] = probs.get(event, 0.0) + abs(amp) ** 2
+    return probs
+
+
+def _assert_same_events(got, want):
+    assert got.keys() == want.keys()
+    assert max(abs(got[ev] - p) for ev, p in want.items()) <= 1e-15
+
+
+def _random_pol_state(rng, paths, single):
+    """Random amplitudes on pairs of even modes, each path in a random
+    orthogonal basis; the path `single` holds only V photons."""
+    modes = [PhotonMode(p, theta + offset) for p in paths
+             for theta in (rng.choice((0.0, 22.5, 30.0, 45.0, 60.0)),) for offset in (0.0, 90.0)]
+    modes.append(PhotonMode(single, V))
+    terms = {}
+    for _ in range(rng.randint(2, 8)):
+        k = pair_key(rng.choice(modes), rng.choice(modes))
+        terms[k] = terms.get(k, 0j) + complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+    return make_state({k: a / norm for k, a in terms.items()})
+
+
+def test_detection_contraction_matches_the_per_term_law():
+    rng = random.Random(1414)
+    for _ in range(25):
+        circuit = random_circuit(rng)
+        circuit = Circuit(circuit.paths + ("q",), circuit.elements)
+        paths = circuit.paths[:-1]
+        for pump in (gaussian_pump(), hg01_pump()):
+            state = attach_pump_parity(_random_pol_state(rng, paths, "q"), pump)
+            out = run_circuit(circuit, state)
+            for ports in LAW_PORTS.values():
+                layout = DetectorLayout(tuple(Detector(f"{p}_{port}", p, port)
+                                              for p in paths for port in ports)
+                                        + (Detector("q_V", "q", "V"),))  # q has no H detector
+                _assert_same_events(event_distribution(state, layout),
+                                    _per_term_events(state, layout))
+                want = _per_term_events(out, layout)
+                _assert_same_events(event_distribution(out, layout), want)
+                table = signature_table(circuit, [("s", state)], layout)
+                _assert_same_events(table.entries["s"], want)
+
+
+def test_detection_names_the_uncovered_port():
+    state = make_state({(PhotonMode("a", H), PhotonMode("q", 45.0)): 1.0})
+    a_only = (Detector("a_H", "a", "H"), Detector("a_V", "a", "V"))
+    with pytest.raises(ValueError, match=r"^no detector covers path 'q' at 45\.0 deg$"):
+        event_distribution(state, DetectorLayout(a_only))  # no detector on q at all
+    with pytest.raises(ValueError, match=r"^no detector covers path 'q' at 0\.0 deg$"):
+        event_distribution(state, DetectorLayout(a_only + (Detector("q_V", "q", "V"),)))
+    layout = DetectorLayout(a_only + (Detector("q_45", "q", "45"),))
+    assert event_distribution(state, layout) == pytest.approx({("a_H", "q_45"): 1.0})
 
 
 def test_layout_validation():

@@ -305,11 +305,14 @@ def test_a_waist_too_small_for_field_is_named(capsys):
     (["--state", "psi-", "--waist", "1e10", "--z", "7.8e176"], "waist 10000000000 m"),
     (["--state", "psi+", "--pump-wavelength", "1e300"], "pump wavelength 1e+300 m is out of range"),
     (["--state", "psi+", "--pump-wavelength", "1e-300"], "pump wavelength 1e-300 m is out of range"),
+    (["--state", "psi+", "--z", "1e300"], "detection plane z 1e+300 m is out of range"),
+    (["--state", "psi+", "--z", "1e-300"], "detection plane z 1e-300 m is out of range"),
 ], ids=["wave-number-inf", "beam-radius-squared-overflows", "rayleigh-range-tiny",
-        "rayleigh-range-huge"])
+        "rayleigh-range-huge", "plane-far", "plane-near"])
 def test_field_names_the_argument_out_of_range(capsys, argv, message):
     # 2 pi / 1e-320 is inf; w(z) = 1e160 is finite but hg_field squares it; with
-    # the default waist, z / zR (1e300) or zR / z (1e-300) overflows when squared
+    # the default waist, z / zR (1e300) or zR / z (1e-300) overflows when squared,
+    # and with the default waist and wavelength only z is left to blame
     code, out, err = run_main(capsys, "field", *argv, "--grid=-1:1:3")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and message in err

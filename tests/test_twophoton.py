@@ -184,7 +184,7 @@ def test_rebase_paths_is_successive_rebase_path_in_one_pass(monkeypatch):
             assert abs(got.terms[k] - a) <= 1e-15
 
 
-def test_event_distribution_rebases_in_one_pass(monkeypatch):
+def test_event_distribution_makes_no_mode_map_pass(monkeypatch):
     circuit = resolve_circuit("complete_bsa")
     layout = layout_from_json(circuit.layout)  # 45/45b detectors on all four outputs
     for _, state in prepare_inputs(circuit, hg01_pump()):
@@ -192,7 +192,45 @@ def test_event_distribution_rebases_in_one_pass(monkeypatch):
         calls = count_mode_map_passes(monkeypatch)
         event_distribution(out, layout)
         monkeypatch.undo()
-        assert len(calls) == 1  # one pass, not one per detected path
+        assert calls == []  # the 45/45b basis is part of the contraction, not a rebase
+
+
+def test_make_state_adds_up_both_orders_of_a_pair():
+    a, b, c = PhotonMode("1", H), PhotonMode("2", V), PhotonMode("3", H)
+    s = make_state({(b, a): 0.2, (a, c): 0.8, (a, b): 0.4})
+    assert list(s.terms) == [(a, b), (a, c)]  # first-seen order, canonical keys
+    assert s.terms[(a, b)] == pytest.approx(0.6, abs=1e-15)
+    assert s.terms[(a, c)] == pytest.approx(0.8, abs=1e-15)
+
+
+def test_make_state_drops_terms_at_or_below_the_prune_tolerance():
+    a, b, c, d = (PhotonMode(p, H) for p in "1234")
+    tiny = twophoton.PRUNE_TOL
+    s = make_state({(a, b): 1.0, (a, c): tiny, (a, d): 2 * tiny, (b, c): tiny * 1j})
+    assert set(s.terms) == {(a, b), (a, d)}
+    # terms that cancel to zero are dropped too
+    assert set(make_state({(a, b): 1.0, (a, c): 0.5, (c, a): -0.5}).terms) == {(a, b)}
+
+
+def test_make_state_refuses_an_unnormalized_state():
+    a, b = PhotonMode("1", H), PhotonMode("2", V)
+    message = r"^state is not normalized: \|amplitude\|\^2 sums to 2\.500e-01$"
+    with pytest.raises(ValueError, match=message):
+        make_state({(a, b): 0.5})
+    with pytest.raises(ValueError, match="sums to 0.000e[+]00"):
+        make_state({})
+
+
+def test_equality_predicate_on_disjoint_and_empty_states():
+    s = bell_state("psi+", "1", "2")
+    elsewhere = bell_state("psi+", "3", "4")
+    assert inner_product(s, elsewhere) == 0
+    assert not equal_up_to_global_phase(s, elsewhere)
+    empty = TwoPhotonState({})
+    assert empty.norm_sq() == 0.0 and inner_product(empty, s) == 0
+    assert equal_up_to_global_phase(empty, TwoPhotonState({}))
+    assert not equal_up_to_global_phase(empty, s)
+    assert not equal_up_to_global_phase(s, empty)
 
 
 def test_equality_predicate_is_phase_blind():
