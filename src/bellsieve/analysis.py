@@ -14,7 +14,8 @@ its two cross-output probabilities the same way.
 The dense oracle rebuilds every circuit as an explicit single-photon unitary
 over (path, polarization, parity, temporal) modes in the global h/v basis and
 lifts it to the symmetric two-photon space, providing an independent check of
-the engine: it never reads an element's `mode_map`.
+the engine: it expands its input into h/v and writes each element's unitary,
+wave plates included, with its own code, and calls no engine conversion.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .optics import (
     PolarizingBS,
     WavePlate,
     run_circuit,
-    waveplate_jones,
 )
 from .twophoton import (
     BELL_KINDS,
@@ -53,13 +53,11 @@ from .twophoton import (
     attach_pump_parity,
     basis_map,
     bell_state,
+    carry_pair_form,
     equal_up_to_global_phase,
     hyper_state,
     mode_map_onto,
     normalize_angle,
-    occupied_modes,
-    rebase_all,
-    to_pair_matrices,
 )
 
 SUPPORT_TOL = 1e-12
@@ -139,11 +137,6 @@ def layout_from_json(doc: dict) -> DetectorLayout:
     return DetectorLayout(dets)
 
 
-def layout_to_json(layout: DetectorLayout) -> dict:
-    return {"detectors": [{"id": d.id, "path": d.path, "port": d.port}
-                          for d in layout.detectors]}
-
-
 def event_distribution(state: TwoPhotonState, layout: DetectorLayout) -> Dict[Event, float]:
     """Born-rule probabilities over detection events.
 
@@ -151,11 +144,12 @@ def event_distribution(state: TwoPhotonState, layout: DetectorLayout) -> Dict[Ev
     parity and temporal tags.  The state enters as its pair matrix and goes
     through the same contraction as a signature table's stack (see
     `_event_distributions`); events of probability at or below PRUNE_TOL**2
-    are dropped.  Raises if a populated path/port has no detector.
+    are dropped.  Raises if a populated path/port has no detector.  The
+    state's pair form is read as it is (see `TwoPhotonState.pair_form`), so
+    an engine output is never converted back from its terms.
     """
-    modes = sorted(occupied_modes(state))
-    w = to_pair_matrices([state], {m: k for k, m in enumerate(modes)})
-    return _event_distributions(w, modes, layout)[0]
+    modes, w = state.pair_form()
+    return _event_distributions(w[None], modes, layout)[0]
 
 
 def _event_distributions(w: np.ndarray, modes: Sequence[PhotonMode],
@@ -531,11 +525,15 @@ def circuit_mode_basis(
     max_modes: int = 32,
 ) -> List[PhotonMode]:
     """Global h/v mode basis spanning the circuit paths and the state's labels."""
-    occupied = {m for k in state.terms for m in k}
+    return _mode_basis(circuit, {m for pair in state.terms for m in pair}, max_modes)
+
+
+def _mode_basis(circuit: Circuit, occupied, max_modes: int) -> List[PhotonMode]:
     parities = sorted({m.parity for m in occupied}) or [EVEN]
     temporals = sorted({m.temporal for m in occupied}) or [0]
+    # every field is already valid: registered paths, h/v, the state's own labels
     modes = [
-        PhotonMode(p, pol, par, t)
+        PhotonMode._make((p, pol, par, t))
         for p in circuit.paths
         for pol in (H, V)
         for par in parities
@@ -548,9 +546,23 @@ def circuit_mode_basis(
     return modes
 
 
-def _pol_vec(angle: float) -> np.ndarray:
-    rad = math.radians(angle)
-    return np.array([math.cos(rad), math.sin(rad)])
+def _pol_vec(angle):
+    """(cos, sin) of a linear polarization angle in degrees, or of an array of them."""
+    rad = np.radians(angle)
+    return np.array([np.cos(rad), np.sin(rad)])
+
+
+def _waveplate(kind: str, fast_axis: float) -> np.ndarray:
+    """Jones matrix of a retarder in h/v, from its rotation form:
+    J = e^{-i delta/2} [cos(delta/2) I + i sin(delta/2) (cos 2phi sz + sin 2phi sx)],
+    retardance delta pi (half) or pi/2 (quarter), fast axis phi; the slow
+    axis is delayed."""
+    half = (math.pi if kind == "half" else math.pi / 2.0) / 2.0
+    c, s = math.cos(half), math.sin(half)
+    phi = math.radians(fast_axis)
+    z, x = math.cos(phi) ** 2 - math.sin(phi) ** 2, 2.0 * math.cos(phi) * math.sin(phi)
+    return complex(c, -s) * np.array([[c + 1j * s * z, 1j * s * x],
+                                      [1j * s * x, c - 1j * s * z]])
 
 
 def _io_roles(ins: Tuple[str, ...], outs: Tuple[str, ...], what: str):
@@ -565,27 +577,33 @@ def _io_roles(ins: Tuple[str, ...], outs: Tuple[str, ...], what: str):
     return True
 
 
-def _element_unitary(el: Element, modes: List[PhotonMode], idx: Dict[PhotonMode, int]) -> np.ndarray:
-    m_count = len(modes)
-    u = np.zeros((m_count, m_count), dtype=complex)
-    written = set()
+def _element_unitary(el: Element, by_path: Dict[str, List[PhotonMode]],
+                     idx: Dict[PhotonMode, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The element's single-photon unitary on the modes it moves: their rows,
+    ascending, and the block over them; every other mode stays put.
 
-    def put(col_mode: PhotonMode, row_mode: PhotonMode, val: complex) -> None:
+    `by_path` lists the basis modes of each path and `idx` gives each mode's
+    row; an image is looked up as a plain (path, pol, parity, temporal) tuple.
+    """
+    entries: Dict[Tuple[int, int], complex] = {}
+    moved = set()
+
+    def put(m: PhotonMode, path: str, pol: float, val: complex) -> None:
+        col = idx[m]
+        moved.add(col)
         if abs(val) > 0:
-            u[idx[row_mode], idx[col_mode]] += val
-        written.add(idx[col_mode])
+            key = (idx[path, pol, m.parity, m.temporal], col)
+            entries[key] = entries.get(key, 0j) + val
 
     if isinstance(el, BeamSplitter):
         routes = [(el.in1, el.out1, el.out2), (el.in2, el.out2, el.out1)]
         if _io_roles((el.in1, el.in2), (el.out1, el.out2), "beam splitter"):
             routes += [(el.out1, el.in1, el.in2), (el.out2, el.in2, el.in1)]
-        for m in modes:
-            for src, straight, cross in routes:
-                if m.path != src:
-                    continue
+        for src, straight, cross in routes:
+            for m in by_path[src]:
                 s = -1.0 if (el.reflect_flips_y and m.parity == ODD) else 1.0
-                put(m, m.with_path(straight), 1.0 / SQRT2)
-                put(m, m.with_path(cross), 1j * s / SQRT2)
+                put(m, straight, m.pol, 1.0 / SQRT2)
+                put(m, cross, m.pol, 1j * s / SQRT2)
     elif isinstance(el, PolarizingBS):
         ins = tuple(p for p in (el.in1, el.in2) if p is not None)
         theta = normalize_angle(el.basis_angle)
@@ -601,64 +619,96 @@ def _element_unitary(el: Element, modes: List[PhotonMode], idx: Dict[PhotonMode,
             else:
                 # unused output-port components idle on their own path
                 routes += [(el.out_t, el.in1, el.out_t), (el.out_r, el.out_r, el.in1)]
-        for m in modes:
-            for src, t_out, r_out in routes:
-                if m.path != src:
-                    continue
+        for src, t_out, r_out in routes:
+            for m in by_path[src]:
                 col = 0 if m.pol == H else 1
                 refl = 1j * (-1.0 if (el.reflect_flips_y and m.parity == ODD) else 1.0)
                 for row_pol, row_i in ((H, 0), (V, 1)):
-                    put(m, m.with_path(t_out).with_pol(row_pol), et[row_i] * et[col])
-                    put(m, m.with_path(r_out).with_pol(row_pol), refl * er[row_i] * er[col])
+                    put(m, t_out, row_pol, et[row_i] * et[col])
+                    put(m, r_out, row_pol, refl * er[row_i] * er[col])
     elif isinstance(el, WavePlate):
-        jones = waveplate_jones(el.kind, el.fast_axis)
-        for m in modes:
-            if m.path != el.path:
-                continue
+        jones = _waveplate(el.kind, el.fast_axis)
+        for m in by_path[el.path]:
             col = 0 if m.pol == H else 1
-            put(m, m.with_pol(H), jones[0, col])
-            put(m, m.with_pol(V), jones[1, col])
+            put(m, el.path, H, jones[0, col])
+            put(m, el.path, V, jones[1, col])
     elif isinstance(el, Mirror):
-        for m in modes:
-            if m.path == el.path and el.flips_y and m.parity == ODD:
-                put(m, m, -1.0)
+        for m in by_path[el.path]:
+            if el.flips_y and m.parity == ODD:
+                put(m, el.path, m.pol, -1.0)
     elif isinstance(el, Delay):
         pass
     else:  # pragma: no cover
         raise TypeError(f"unknown element {el!r}")
 
-    for j in range(m_count):
-        if j not in written:
-            u[j, j] = 1.0
-    return u
+    rows = sorted(moved)
+    place = {r: k for k, r in enumerate(rows)}
+    block = np.zeros((len(rows), len(rows)), dtype=complex)
+    for (r, c), val in entries.items():
+        block[place[r], place[c]] = val
+    return np.array(rows, dtype=np.intp), block
+
+
+def _evolve(circuit: Circuit, modes: List[PhotonMode], c: np.ndarray) -> np.ndarray:
+    """U c for the circuit's single-photon unitary U over `modes` (the rows
+    of c), one element at a time on the rows it moves.  Overwrites c."""
+    idx = {m: i for i, m in enumerate(modes)}
+    by_path: Dict[str, List[PhotonMode]] = {p: [] for p in circuit.paths}
+    for m in modes:
+        by_path[m.path].append(m)
+    for el in circuit.elements:
+        rows, block = _element_unitary(el, by_path, idx)
+        if rows.size:
+            c[rows] = block @ c[rows]
+    return c
 
 
 def single_photon_unitary(circuit: Circuit, modes: List[PhotonMode]) -> np.ndarray:
-    idx = {m: i for i, m in enumerate(modes)}
-    u = np.eye(len(modes), dtype=complex)
-    for el in circuit.elements:
-        u = _element_unitary(el, modes, idx) @ u
-    return u
+    return _evolve(circuit, modes, np.eye(len(modes), dtype=complex))
 
 
 def oracle_apply(circuit: Circuit, state: TwoPhotonState, max_modes: int = 32) -> TwoPhotonState:
-    """Dense reference evolution on the symmetric two-photon space."""
-    modes = sorted(circuit_mode_basis(circuit, state, max_modes))  # so i <= j is a pair key
-    idx = {m: i for i, m in enumerate(modes)}
-    hv = rebase_all(state, H)
-    i, j = np.fromiter(map(idx.__getitem__, itertools.chain.from_iterable(hv.terms)),
-                       dtype=np.intp, count=2 * len(hv.terms)).reshape(-1, 2).T
-    amps = np.fromiter(hv.terms.values(), dtype=complex, count=len(hv.terms))
-    w = np.zeros((len(modes), len(modes)), dtype=complex)
+    """Dense reference evolution on the symmetric two-photon space.
+
+    One pass over the input's pairs gives its distinct modes and its pair
+    matrix w over them (w[i, j] = amplitude / sqrt(2) for i != j, w[i, i]
+    the amplitude), so the state is a^dag w a^dag / sqrt(2).  Each input mode
+    at angle a is the column cos(a) e_H + sin(a) e_V of E over the global h/v
+    basis; the circuit's unitary U acts on those columns, and the output is
+    w' = (U E) w (U E)^T.  Its pair amplitudes above SUPPORT_TOL are the
+    terms, and sqrt(2) w' on them is the pair form the output carries.
+    """
+    ends = list(itertools.chain.from_iterable(state.terms))
+    local = dict.fromkeys(ends)
+    for k, m in enumerate(local):
+        local[m] = k
+    i, j = np.fromiter(map(local.__getitem__, ends), dtype=np.intp,
+                       count=len(ends)).reshape(-1, 2).T
+    amps = np.fromiter(state.terms.values(), dtype=complex, count=len(state.terms))
+    w = np.zeros((len(local), len(local)), dtype=complex)
     w[i, j] = w[j, i] = np.where(i == j, amps, amps / SQRT2)
-    u = single_photon_unitary(circuit, modes)
-    wp = u @ w @ u.T
-    i, j = np.triu_indices(len(modes))
+    modes = sorted(_mode_basis(circuit, local, max_modes))  # so i <= j is a pair key
+    idx = {m: k for k, m in enumerate(modes)}
+    inputs = list(local)
+    c = np.zeros((len(modes), len(inputs)), dtype=complex)
+    for pol, column in zip((H, V), _pol_vec([m.pol for m in inputs])):
+        c[[idx[m.path, pol, m.parity, m.temporal] for m in inputs], range(len(inputs))] = column
+    c = _evolve(circuit, modes, c)
+    wp = c @ w @ c.T
+    i, j = np.triu_indices(len(modes))  # the pairs in the order combinations_with_replacement makes
     amps = np.where(i == j, 1.0, SQRT2) * wp[i, j]
-    keep = np.flatnonzero(abs(amps) > SUPPORT_TOL)
-    terms = {(modes[a], modes[b]): amp
-             for a, b, amp in zip(i[keep].tolist(), j[keep].tolist(), amps[keep].tolist())}
-    return TwoPhotonState(terms, dict(state.delays))
+    keep = abs(amps) > SUPPORT_TOL
+    i, j, amps = i[keep], j[keep], amps[keep]
+    terms = dict(zip(itertools.compress(itertools.combinations_with_replacement(modes, 2),
+                                        keep.tolist()), amps.tolist()))
+    held = np.zeros(len(modes), dtype=bool)
+    held[i] = held[j] = True
+    own = np.cumsum(held) - 1  # basis row -> place among the output's modes
+    form = np.zeros((int(held.sum()),) * 2, dtype=complex)
+    amps[i == j] *= SQRT2  # a diagonal entry of W is sqrt(2) times its pair amplitude
+    form[own[i], own[j]] = form[own[j], own[i]] = amps
+    return carry_pair_form(TwoPhotonState(terms, dict(state.delays)),
+                           [modes[r] for r in np.flatnonzero(held).tolist()], form)
 
 
 def oracle_check(
@@ -667,7 +717,11 @@ def oracle_check(
     tol: float = 1e-9,
     max_modes: int = 32,
 ) -> bool:
-    """Engine output equals the dense-oracle output up to a global phase."""
+    """Engine output equals the dense-oracle output up to a global phase.
+
+    The comparison is `twophoton.equal_up_to_global_phase`, the one predicate
+    shared with the engine's side: it reads only the two states' pair forms.
+    """
     engine = run_circuit(circuit, state)
     reference = oracle_apply(circuit, state, max_modes=max_modes)
     return equal_up_to_global_phase(engine, reference, tol)

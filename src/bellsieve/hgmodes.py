@@ -145,10 +145,6 @@ class PumpProfile:
     def wave_number(self) -> float:
         return self.mode.wave_number
 
-    @property
-    def norm_constant(self) -> float:
-        return self.mode.norm_constant
-
     def field(self, x, y, z) -> complex:
         """Propagated transverse profile W(x, y, z)."""
         return hg_field(self.mode, DetectorPoint(x, y, z))

@@ -6,7 +6,8 @@ on its inputs.  The engine compiles each circuit once (`Circuit.compiled`):
 every element becomes one small block per parity, built from its `mode_map`.
 `run_states` takes a stack of states at any linear polarization; it enters
 once as dense symmetric pair matrices (see `twophoton`), passes the blocks,
-and leaves once, every path in h/v, as `TwoPhotonState`s pruned at PRUNE_TOL.
+and leaves once, every path in h/v, as `TwoPhotonState`s pruned at PRUNE_TOL
+that carry their pair form.
 `run_circuit` runs one state, and `apply_element` a one-element circuit.
 
 The beam splitter is 50-50 and symmetric: transmission amplitude 1/sqrt(2),
@@ -442,8 +443,3 @@ def load_circuit(path: str) -> Circuit:
             raise CircuitSchemaError(f"invalid JSON in {path}: {exc}") from exc
     return circuit_from_json(doc)
 
-
-def save_circuit(circuit: Circuit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(circuit_to_json(circuit), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -14,8 +14,11 @@ list of single-photon modes, W[i, j] = W[j, i] the amplitude of the pair
 (i, j) for i != j and W[i, i] = sqrt(2) times that of two photons in mode i.
 `to_pair_matrices` and `from_pair_matrices` convert a stack of states to and
 from it, and a state leaves W pruned at PRUNE_TOL.  A single-photon linear
-map M acts on W as W -> M W M^T, and the norm is |W|_F^2 / 2.
-`apply_mode_map` is that lift for a map given mode by mode; the circuit engine
+map M acts on W as W -> M W M^T, the norm is |W|_F^2 / 2 and <s1|s2> is
+vdot(W1, W2) / 2.  Every state also carries its own pair-matrix form, W over
+its ascending occupied modes (`TwoPhotonState.pair_form`): the norm, inner
+products, basis changes and detection read it instead of the terms.
+`apply_mode_map` is the lift for a map given mode by mode; the circuit engine
 (`optics`) runs whole circuits on the same form.
 
 Polarization is a linear-polarization angle in degrees, reduced to [0, 180).
@@ -103,45 +106,58 @@ def pair_key(m1: PhotonMode, m2: PhotonMode) -> PairKey:
     return (m1, m2) if m1 <= m2 else (m2, m1)
 
 
+PairForm = Tuple[List[PhotonMode], np.ndarray]  # ascending occupied modes, W over them
+
+
 @dataclass(frozen=True)
 class TwoPhotonState:
     """Normalized amplitude map over unordered photon-mode pairs.
 
-    `delays` carries accumulated optical delays per path, written by delay
-    elements; nothing reads it yet and it does not affect amplitudes.
+    `terms` maps each canonical pair to its amplitude.  `pair_form()` is the
+    same state as a pair matrix: the ascending modes the terms occupy and W
+    over them, exactly as `to_pair_matrices` builds it from the terms.  It is
+    computed on first use and kept; the engine (`from_pair_matrices`) and
+    the dense oracle hand over the form they already hold.  Its array is
+    read-only.  `delays` carries accumulated optical delays per path,
+    written by delay elements; nothing reads it yet and it does not affect
+    amplitudes.
     """
 
     terms: Dict[PairKey, complex]
     delays: Dict[str, float] = field(default_factory=dict)
+    _form: Optional[PairForm] = field(default=None, init=False, repr=False, compare=False)
+
+    def pair_form(self) -> PairForm:
+        """(ascending occupied modes, read-only W over them), built once."""
+        if self._form is None:
+            modes = sorted({m for pair in self.terms for m in pair})
+            w = to_pair_matrices([self], {m: k for k, m in enumerate(modes)})[0]
+            carry_pair_form(self, modes, w)
+        return self._form
 
     def norm_sq(self) -> float:
-        return float((abs(_amplitudes(self.terms.values(), len(self.terms))) ** 2).sum())
+        w = self.pair_form()[1]
+        return float(np.vdot(w, w).real) / 2
 
     def paths(self) -> set:
-        out = set()
-        for m1, m2 in self.terms:
-            out.add(m1.path)
-            out.add(m2.path)
-        return out
-
-    def items(self):
-        return self.terms.items()
+        return {m.path for m in self.pair_form()[0]}
 
     def amplitude(self, m1: PhotonMode, m2: PhotonMode) -> complex:
         return self.terms.get(pair_key(m1, m2), 0j)
 
 
+def carry_pair_form(state: TwoPhotonState, modes: List[PhotonMode],
+                    w: np.ndarray) -> TwoPhotonState:
+    """Give a state just built its pair form (see `TwoPhotonState.pair_form`):
+    the caller's W over the ascending occupied `modes`, which must equal what
+    `to_pair_matrices` builds from the terms.  Makes `w` read-only."""
+    w.flags.writeable = False
+    object.__setattr__(state, "_form", (modes, w))
+    return state
+
+
 def _pruned(terms: Dict[PairKey, complex]) -> Dict[PairKey, complex]:
     return {k: a for k, a in terms.items() if abs(a) > PRUNE_TOL}
-
-
-def _amplitudes(values: Iterable[complex], count: int) -> np.ndarray:
-    return np.fromiter(values, dtype=complex, count=count)
-
-
-def occupied_modes(state: TwoPhotonState) -> set:
-    """The distinct modes the state's terms hold."""
-    return {m for pair in state.terms for m in pair}
 
 
 def make_state(
@@ -153,23 +169,27 @@ def make_state(
     Terms with the same canonical key are summed in term order, then those at
     or below PRUNE_TOL are dropped and the rest normalized exactly.
     """
-    slots: Dict[PairKey, int] = {}
-    slot = np.array([slots.setdefault(k if k[0] <= k[1] else (k[1], k[0]), len(slots))
-                     for k in terms], dtype=np.intp)
-    given = _amplitudes(terms.values(), len(slot))
-    acc = np.empty(len(slots), dtype=complex)  # bincount adds each slot's terms in order
-    acc.real = np.bincount(slot, weights=given.real, minlength=len(slots))
-    acc.imag = np.bincount(slot, weights=given.imag, minlength=len(slots))
-    mags = abs(acc)
-    keep = mags > PRUNE_TOL
-    n = math.sqrt(float((mags[keep] ** 2).sum()))
+    keys = [k if k[0] <= k[1] else (k[1], k[0]) for k in terms]
+    amps = np.fromiter(terms.values(), dtype=complex, count=len(keys))
+    mags = abs(amps)
+    n = math.sqrt(float((mags ** 2).sum()))
+    # each part divided exactly; a repeated pair leaves fewer keys than terms
+    out = dict(zip(keys, (amps.view(float) / n).view(complex).tolist())) \
+        if (mags > PRUNE_TOL).all() else {}
+    if len(out) < len(keys):  # a pair given in both orders, or a term to drop
+        slots: Dict[PairKey, int] = {}
+        slot = np.array([slots.setdefault(k, len(slots)) for k in keys], dtype=np.intp)
+        acc = np.empty(len(slots), dtype=complex)  # bincount adds each slot's terms in order
+        acc.real = np.bincount(slot, weights=amps.real, minlength=len(slots))
+        acc.imag = np.bincount(slot, weights=amps.imag, minlength=len(slots))
+        mags = abs(acc)
+        keep = mags > PRUNE_TOL
+        n = math.sqrt(float((mags[keep] ** 2).sum()))
+        parts = acc[keep].view(float) / n
+        out = dict(zip(itertools.compress(slots, keep.tolist()), parts.view(complex).tolist()))
     if abs(n - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |amplitude|^2 sums to {n**2:.3e}")
-    acc = acc[keep]
-    parts = acc.view(float)
-    parts /= n  # real and imaginary parts each divided exactly
-    return TwoPhotonState(dict(zip(itertools.compress(slots, keep.tolist()), acc.tolist())),
-                          dict(delays or {}))
+    return TwoPhotonState(out, dict(delays or {}))
 
 
 def to_pair_matrices(states: Sequence[TwoPhotonState],
@@ -179,8 +199,16 @@ def to_pair_matrices(states: Sequence[TwoPhotonState],
     ij = [index[m] for state in states for pair in state.terms for m in pair]
     i, j = np.array(ij, dtype=np.intp).reshape(-1, 2).T
     amps = np.array([a for state in states for a in state.terms.values()], dtype=complex)
+    return _pair_matrix(batch, i, j, amps, len(states), len(index))
+
+
+def _pair_matrix(batch: np.ndarray, i: np.ndarray, j: np.ndarray, amps: np.ndarray,
+                 count: int, size: int) -> np.ndarray:
+    """A stack of `count` pair matrices W over `size` modes holding the pair
+    amplitudes `amps` of the pairs (i, j) of the states `batch`."""
+    amps = amps.copy()
     amps[i == j] *= SQRT2
-    w = np.zeros((len(states), len(index), len(index)), dtype=complex)
+    w = np.zeros((count, size, size), dtype=complex)
     w[batch, i, j] = amps
     w[batch, j, i] = amps
     return w
@@ -189,18 +217,30 @@ def to_pair_matrices(states: Sequence[TwoPhotonState],
 def from_pair_matrices(w: np.ndarray, modes: Sequence[PhotonMode],
                        delays: Sequence[Dict[str, float]]) -> List[TwoPhotonState]:
     """The stack `w` over ascending `modes` as states, each pruned at PRUNE_TOL
-    (not renormalized) and given its `delays` dict.  Overwrites `w`."""
+    (not renormalized) and given its `delays` dict.  Overwrites `w`.
+
+    Each state carries its pair-matrix form, built from the kept pair
+    amplitudes as `to_pair_matrices` would build it from the terms: `w` need
+    not be exactly symmetric, so the form mirrors its kept upper triangle.
+    """
     diagonal = np.einsum("kii->ki", w)  # a view
     diagonal /= SQRT2  # now pair amplitudes on and above the diagonal
     k, i, j = np.nonzero(abs(w) > PRUNE_TOL)
     upper = i <= j
     k, i, j = k[upper], i[upper], j[upper]
-    amps = w[k, i, j].tolist()
-    i, j = i.tolist(), j.tolist()
+    amps = w[k, i, j]
     ends = np.cumsum(np.bincount(k, minlength=len(w))).tolist()
-    return [TwoPhotonState({(modes[a], modes[b]): amp for a, b, amp
-                            in zip(i[start:end], j[start:end], amps[start:end])}, state_delays)
-            for state_delays, start, end in zip(delays, [0] + ends, ends)]
+    states = []
+    for state_delays, start, end in zip(delays, [0] + ends, ends):
+        a, b, amp = i[start:end], j[start:end], amps[start:end]
+        held = np.bincount(np.concatenate((a, b)), minlength=len(modes)) > 0
+        own = np.cumsum(held) - 1  # row -> its place among the state's modes
+        live = [modes[r] for r in np.flatnonzero(held).tolist()]
+        form = _pair_matrix(0, own[a], own[b], amp, 1, len(live))[0]
+        terms = dict(zip(zip(map(modes.__getitem__, a.tolist()), map(modes.__getitem__, b.tolist())),
+                         amp.tolist()))
+        states.append(carry_pair_form(TwoPhotonState(terms, state_delays), live, form))
+    return states
 
 
 def mode_map_matrix(mapping: ModeMap, sources: Sequence[PhotonMode],
@@ -224,10 +264,9 @@ def mode_map_onto(mapping: ModeMap,
 def apply_mode_map(state: TwoPhotonState, mapping: ModeMap) -> TwoPhotonState:
     """Lift a single-photon linear map M to the state, W -> M W M^T; the result
     is pruned but not renormalized (unitary maps preserve the norm)."""
-    occupied = sorted(occupied_modes(state))
+    occupied, w = state.pair_form()
     modes, lift = mode_map_onto(mapping, occupied)
-    w = to_pair_matrices([state], {m: k for k, m in enumerate(occupied)})
-    return from_pair_matrices(lift @ w @ lift.T, modes, [dict(state.delays)])[0]
+    return from_pair_matrices(lift @ w[None] @ lift.T, modes, [dict(state.delays)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +357,14 @@ def attach_pump_parity(state: TwoPhotonState, pump) -> TwoPhotonState:
 
 
 def inner_product(s1: TwoPhotonState, s2: TwoPhotonState) -> complex:
-    """Hermitian inner product <s1|s2> over the unordered-pair basis."""
-    if len(s1.terms) > len(s2.terms):
-        return inner_product(s2, s1).conjugate()
-    count = len(s1.terms)
-    other = _amplitudes(map(s2.terms.get, s1.terms, itertools.repeat(0j)), count)
-    return complex(np.vdot(_amplitudes(s1.terms.values(), count), other))
+    """Hermitian inner product <s1|s2> over the unordered-pair basis, read
+    from the pair forms as vdot(W1, W2) / 2 on the modes both occupy."""
+    modes1, w1 = s1.pair_form()
+    modes2, w2 = s2.pair_form()
+    place = {m: k for k, m in enumerate(modes2)}
+    a, b = np.array([(k, place[m]) for k, m in enumerate(modes1) if m in place],
+                    dtype=np.intp).reshape(-1, 2).T
+    return complex(np.vdot(w1[np.ix_(a, a)], w2[np.ix_(b, b)])) / 2
 
 
 def overlap(s1: TwoPhotonState, s2: TwoPhotonState) -> float:
@@ -331,7 +372,9 @@ def overlap(s1: TwoPhotonState, s2: TwoPhotonState) -> float:
 
 
 def equal_up_to_global_phase(s1: TwoPhotonState, s2: TwoPhotonState, tol: float = 1e-9) -> bool:
-    """State equality modulo one global phase: |<s1|s2>| = 1 within tol."""
+    """State equality modulo one global phase: |<s1|s2>| = 1 within tol, on
+    the normalized states.  Norms and the inner product are read from the
+    pair forms, so no term of either state is visited."""
     n1, n2 = s1.norm_sq(), s2.norm_sq()
     if n1 < PRUNE_TOL or n2 < PRUNE_TOL:
         return n1 < PRUNE_TOL and n2 < PRUNE_TOL
@@ -385,15 +428,11 @@ def basis_map(modes: Iterable[PhotonMode], bases: Mapping[str, float]) -> ModeMa
     return mapping
 
 
-def _rebased(state: TwoPhotonState, occupied: set, bases: Mapping[str, float]) -> TwoPhotonState:
-    mapping = basis_map(occupied, bases)
-    return apply_mode_map(state, mapping) if mapping else state
-
-
 def rebase_paths(state: TwoPhotonState, bases: Mapping[str, float]) -> TwoPhotonState:
     """Rewrite the modes on each path of `bases` in its basis {theta, theta+90}
     (see `basis_map`), in one pass; a no-op when every mode is already there."""
-    return _rebased(state, occupied_modes(state), bases)
+    mapping = basis_map(state.pair_form()[0], bases)
+    return apply_mode_map(state, mapping) if mapping else state
 
 
 def rebase_path(state: TwoPhotonState, path: str, basis_angle: float) -> TwoPhotonState:
@@ -403,9 +442,7 @@ def rebase_path(state: TwoPhotonState, path: str, basis_angle: float) -> TwoPhot
 
 def rebase_all(state: TwoPhotonState, basis_angle: float = 0.0) -> TwoPhotonState:
     """`rebase_paths` on every path of the state."""
-    occupied = occupied_modes(state)
-    bases = dict.fromkeys({m.path for m in occupied}, basis_angle)
-    return _rebased(state, occupied, bases)
+    return rebase_paths(state, dict.fromkeys(state.paths(), basis_angle))
 
 
 def pol_pair_probs(state: TwoPhotonState) -> Dict[Tuple[Tuple[str, float], Tuple[str, float]], float]:

@@ -146,6 +146,16 @@ def test_detection_names_the_uncovered_port():
     assert event_distribution(state, layout) == pytest.approx({("a_H", "q_45"): 1.0})
 
 
+def test_a_polarization_keeps_nine_decimals_of_its_angle():
+    # cos^2(22.5004 deg) sits 4.94e-6 below cos^2(22.5 deg)
+    layout = layout_from_json({"detectors": [
+        {"id": f"{p}_{port}", "path": p, "port": port} for p in "12" for port in "HV"]})
+    state = make_state({(PhotonMode("1", 22.5004), PhotonMode("2", H)): 1.0})
+    events = event_distribution(run_circuit(Circuit(paths=("1", "2"), elements=()), state),
+                                layout)
+    assert abs(events["1_H", "2_H"] - math.cos(math.radians(22.5004)) ** 2) <= 1e-12
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         DetectorLayout((Detector("X", "p", "H"), Detector("X", "q", "V")))
@@ -200,6 +210,17 @@ def test_classify_identity_circuit_merges_within_doublets():
     assert len(report.classes) == 2
     merged = [set(c) for c in report.classes]
     assert {"psi+", "psi-"} in merged and {"phi+", "phi-"} in merged
+
+
+def test_classify_merges_inputs_that_share_one_event():
+    from bellsieve.analysis import SignatureTable
+
+    table = SignatureTable({"a": {("x", "y"): 0.5, ("x", "z"): 0.5},
+                            "b": {("x", "y"): 0.25, ("w", "z"): 0.75},
+                            "c": {("u", "v"): 1.0}})
+    report = classify(table)
+    assert report.classes == (("a", "b"), ("c",))
+    assert report.ambiguous == (("a", "b"),)
 
 
 def test_classify_is_equivariant_under_detector_relabeling():

@@ -265,6 +265,18 @@ def test_jones_matrices_are_unitary():
             assert np.allclose(j @ j.conj().T, np.eye(2), atol=1e-12)
 
 
+def test_qwp_at_45_delays_the_slow_axis():
+    # H -> ((1 - i) H + (1 + i) V) / 2; retardance -pi/2 would swap the two
+    want = np.array([1 - 1j, 1 + 1j]) / 2
+    assert abs(waveplate_jones("quarter", 45.0)[:, 0] - want).max() <= 1e-15
+    pair = make_state({(PhotonMode("1", H), PhotonMode("2", H)): 1.0})
+    out = run_circuit(Circuit(paths=("1", "2"), elements=(WavePlate("1", "quarter", 45.0),)),
+                      pair)
+    assert out.terms == pytest.approx({(PhotonMode("1", H), PhotonMode("2", H)): want[0],
+                                       (PhotonMode("1", V), PhotonMode("2", H)): want[1]},
+                                      abs=1e-15)
+
+
 def test_delay_bookkeeping():
     s = bell_state("psi+", "1", "2")
     out = apply_element(s, Delay("1", 0.0))
