@@ -53,11 +53,11 @@ from .twophoton import (
     attach_pump_parity,
     basis_map,
     bell_state,
-    carry_pair_form,
     equal_up_to_global_phase,
     hyper_state,
     mode_map_onto,
     normalize_angle,
+    state_from_pairs,
 )
 
 SUPPORT_TOL = 1e-12
@@ -675,8 +675,8 @@ def oracle_apply(circuit: Circuit, state: TwoPhotonState, max_modes: int = 32) -
     the amplitude), so the state is a^dag w a^dag / sqrt(2).  Each input mode
     at angle a is the column cos(a) e_H + sin(a) e_V of E over the global h/v
     basis; the circuit's unitary U acts on those columns, and the output is
-    w' = (U E) w (U E)^T.  Its pair amplitudes above SUPPORT_TOL are the
-    terms, and sqrt(2) w' on them is the pair form the output carries.
+    w' = (U E) w (U E)^T.  Its pair amplitudes above SUPPORT_TOL make the
+    output state, which carries its pair form as the engine's outputs do.
     """
     ends = list(itertools.chain.from_iterable(state.terms))
     local = dict.fromkeys(ends)
@@ -695,20 +695,10 @@ def oracle_apply(circuit: Circuit, state: TwoPhotonState, max_modes: int = 32) -
         c[[idx[m.path, pol, m.parity, m.temporal] for m in inputs], range(len(inputs))] = column
     c = _evolve(circuit, modes, c)
     wp = c @ w @ c.T
-    i, j = np.triu_indices(len(modes))  # the pairs in the order combinations_with_replacement makes
+    i, j = np.triu_indices(len(modes))
     amps = np.where(i == j, 1.0, SQRT2) * wp[i, j]
     keep = abs(amps) > SUPPORT_TOL
-    i, j, amps = i[keep], j[keep], amps[keep]
-    terms = dict(zip(itertools.compress(itertools.combinations_with_replacement(modes, 2),
-                                        keep.tolist()), amps.tolist()))
-    held = np.zeros(len(modes), dtype=bool)
-    held[i] = held[j] = True
-    own = np.cumsum(held) - 1  # basis row -> place among the output's modes
-    form = np.zeros((int(held.sum()),) * 2, dtype=complex)
-    amps[i == j] *= SQRT2  # a diagonal entry of W is sqrt(2) times its pair amplitude
-    form[own[i], own[j]] = form[own[j], own[i]] = amps
-    return carry_pair_form(TwoPhotonState(terms, dict(state.delays)),
-                           [modes[r] for r in np.flatnonzero(held).tolist()], form)
+    return state_from_pairs(modes, i[keep], j[keep], amps[keep], dict(state.delays))
 
 
 def oracle_check(

@@ -116,9 +116,8 @@ class TwoPhotonState:
     `terms` maps each canonical pair to its amplitude.  `pair_form()` is the
     same state as a pair matrix: the ascending modes the terms occupy and W
     over them, exactly as `to_pair_matrices` builds it from the terms.  It is
-    computed on first use and kept; the engine (`from_pair_matrices`) and
-    the dense oracle hand over the form they already hold.  Its array is
-    read-only.  `delays` carries accumulated optical delays per path,
+    computed on first use and kept; the engine's exit (`from_pair_matrices`)
+    hands over the form it already holds.  Its array is read-only.  `delays` carries accumulated optical delays per path,
     written by delay elements; nothing reads it yet and it does not affect
     amplitudes.
     """
@@ -132,7 +131,7 @@ class TwoPhotonState:
         if self._form is None:
             modes = sorted({m for pair in self.terms for m in pair})
             w = to_pair_matrices([self], {m: k for k, m in enumerate(modes)})[0]
-            carry_pair_form(self, modes, w)
+            _carry_pair_form(self, modes, w)
         return self._form
 
     def norm_sq(self) -> float:
@@ -146,8 +145,8 @@ class TwoPhotonState:
         return self.terms.get(pair_key(m1, m2), 0j)
 
 
-def carry_pair_form(state: TwoPhotonState, modes: List[PhotonMode],
-                    w: np.ndarray) -> TwoPhotonState:
+def _carry_pair_form(state: TwoPhotonState, modes: List[PhotonMode],
+                     w: np.ndarray) -> TwoPhotonState:
     """Give a state just built its pair form (see `TwoPhotonState.pair_form`):
     the caller's W over the ascending occupied `modes`, which must equal what
     `to_pair_matrices` builds from the terms.  Makes `w` read-only."""
@@ -230,17 +229,22 @@ def from_pair_matrices(w: np.ndarray, modes: Sequence[PhotonMode],
     k, i, j = k[upper], i[upper], j[upper]
     amps = w[k, i, j]
     ends = np.cumsum(np.bincount(k, minlength=len(w))).tolist()
-    states = []
-    for state_delays, start, end in zip(delays, [0] + ends, ends):
-        a, b, amp = i[start:end], j[start:end], amps[start:end]
-        held = np.bincount(np.concatenate((a, b)), minlength=len(modes)) > 0
-        own = np.cumsum(held) - 1  # row -> its place among the state's modes
-        live = [modes[r] for r in np.flatnonzero(held).tolist()]
-        form = _pair_matrix(0, own[a], own[b], amp, 1, len(live))[0]
-        terms = dict(zip(zip(map(modes.__getitem__, a.tolist()), map(modes.__getitem__, b.tolist())),
-                         amp.tolist()))
-        states.append(carry_pair_form(TwoPhotonState(terms, state_delays), live, form))
-    return states
+    return [state_from_pairs(modes, i[start:end], j[start:end], amps[start:end], state_delays)
+            for state_delays, start, end in zip(delays, [0] + ends, ends)]
+
+
+def state_from_pairs(modes: Sequence[PhotonMode], i: np.ndarray, j: np.ndarray,
+                     amps: np.ndarray, delays: Dict[str, float]) -> TwoPhotonState:
+    """The state with pair amplitudes `amps` on the pairs (modes[i], modes[j]),
+    i <= j, over ascending `modes`, taken as they are (no pruning, no
+    normalization), given `delays` and carrying its pair form."""
+    held = np.bincount(np.concatenate((i, j)), minlength=len(modes)) > 0
+    own = np.cumsum(held) - 1  # row -> its place among the state's modes
+    form = _pair_matrix(0, own[i], own[j], amps, 1, int(held.sum()))[0]
+    terms = dict(zip(zip(map(modes.__getitem__, i.tolist()), map(modes.__getitem__, j.tolist())),
+                     amps.tolist()))
+    return _carry_pair_form(TwoPhotonState(terms, delays),
+                            [modes[r] for r in np.flatnonzero(held).tolist()], form)
 
 
 def mode_map_matrix(mapping: ModeMap, sources: Sequence[PhotonMode],
