@@ -529,6 +529,9 @@ def circuit_mode_basis(
 
 
 def _mode_basis(circuit: Circuit, occupied, max_modes: int) -> List[PhotonMode]:
+    unknown = {m.path for m in occupied}.difference(circuit.paths)
+    if unknown:
+        raise ValueError(f"state occupies unregistered paths: {sorted(unknown)}")
     parities = sorted({m.parity for m in occupied}) or [EVEN]
     temporals = sorted({m.temporal for m in occupied}) or [0]
     # every field is already valid: registered paths, h/v, the state's own labels

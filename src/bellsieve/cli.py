@@ -41,7 +41,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-_ROW = ",".join(["%.12g"] * 5)  # one field-map row, each value as _fmt writes it
+_ROW = "%s,%s,%.12g,%.12g,%.12g"  # one field-map row: x1, y1 as _fmt text, then re, im, abs2
 _FIELD_BLOCK_POINTS = 4096  # grid points per array call of a field map
 
 
@@ -137,6 +137,8 @@ def parse_grid(spec: str) -> Tuple[float, float, int]:
         raise ConfigError(f"grid {spec!r} needs finite bounds")
     if n < 2 or hi <= lo:
         raise ConfigError("grid needs npoints >= 2 and max > min")
+    if not math.isfinite(lo + (hi - lo) / (n - 1) * (n - 1)):  # the last axis point of cmd_field
+        raise ConfigError(f"grid {spec!r} is too wide: its span overflows the largest float")
     if n * n > MAX_ROWS:
         raise ConfigError(f"grid {spec!r} has {n}^2 points, more than {MAX_ROWS}")
     return lo, hi, n
@@ -234,6 +236,32 @@ def cmd_hom(args: argparse.Namespace) -> int:
     return 0
 
 
+def _field_amplitudes(kind: str, pump: PumpProfile, r1: DetectorPoint, r2: DetectorPoint):
+    """(amplitude, |amplitude|^2) at r1, r2 fixed; an argument out of range
+    overflows to inf/NaN, which the caller reports."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp, _ = coincidence_amplitude(kind, pump, r1, r2)
+        return amp, np.hypot(amp.real, amp.imag) ** 2  # rounds as the scalar abs(amp) does
+
+
+def _non_finite_culprit(args: argparse.Namespace, kind: str, pump: PumpProfile,
+                        x1: float, y1: float) -> str:
+    """One line naming what makes the amplitude at (x1, y1) non-finite: the
+    second detector if the point is finite with x2 = y2 = 0, else the pump
+    order if a Gaussian pump of the same waist and wavelength clears it there,
+    else the grid."""
+    r1 = DetectorPoint(np.array([x1]), np.array([y1]), args.z)
+    on_axis = DetectorPoint(0.0, 0.0, args.z)
+    gauss = hgmodes.hg_pump(0, 0, args.waist, args.pump_wavelength)
+    where = f"amplitude at x1={_fmt(x1)}, y1={_fmt(y1)} is not finite; "
+    if np.isfinite(_field_amplitudes(kind, pump, r1, on_axis)[1]).all():
+        return where + (f"--x2 {_fmt(args.x2)} m, --y2 {_fmt(args.y2)} m put the second "
+                        "detector out of range for this grid")
+    if np.isfinite(_field_amplitudes(kind, gauss, r1, on_axis)[1]).all():
+        return where + "the pump order is too high for this grid"
+    return where + f"the grid {args.grid!r} is out of range for a field map"
+
+
 def cmd_field(args: argparse.Namespace) -> int:
     pump = parse_pump(args.pump, args.waist, args.pump_wavelength)
     kind, hyper = parse_state_kind(args.state)
@@ -247,10 +275,12 @@ def cmd_field(args: argparse.Namespace) -> int:
     culprit = f"waist {_fmt(args.waist)} m"  # unless it passes at the default pump wavelength
     if args.waist == hgmodes.DEFAULT_WAIST and args.pump_wavelength == hgmodes.PUMP_WAVELENGTH:
         culprit = f"detection plane z {_fmt(args.z)} m"  # both at their defaults
-    try:  # hg_field divides by the Rayleigh range, squares z / zR and zR / z, and squares w(z)
+    try:  # hg_field divides by the Rayleigh range, squares z / zR and zR / z, and squares w(z);
+        # a ratio that is already inf squares to inf without raising
         for mode in (hgmodes.HGMode(pump.mode.m, pump.mode.n, args.waist), pump.mode):
-            hgmodes.beam_radius(mode, args.z) ** 2
-            hgmodes.wavefront_radius(mode, args.z)
+            if not (math.isfinite(hgmodes.beam_radius(mode, args.z) ** 2)
+                    and math.isfinite(hgmodes.wavefront_radius(mode, args.z))):
+                raise OverflowError
             culprit = f"pump wavelength {_fmt(args.pump_wavelength)} m"
     except (OverflowError, ZeroDivisionError):
         raise ConfigError(f"{culprit} is out of range for a field map: the beam radius, squared, "
@@ -265,20 +295,17 @@ def cmd_field(args: argparse.Namespace) -> int:
     )
     blocks = [header + "x1_m,y1_m,re,im,abs2"]
     axis = lo + np.arange(n) * step
+    axis_text = [_fmt(v) for v in axis.tolist()]  # x1 and y1 only take these n values
     rows = max(1, _FIELD_BLOCK_POINTS // n)
     for start in range(0, n, rows):
         ys = axis[start:start + rows]
         x1, y1 = np.tile(axis, len(ys)), np.repeat(ys, n)
-        # a too-high pump order overflows to inf/NaN, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            amp, _ = coincidence_amplitude(kind, pump, DetectorPoint(x1, y1, args.z), r2)
-            abs2 = np.hypot(amp.real, amp.imag) ** 2  # rounds as the scalar abs(amp) does
+        amp, abs2 = _field_amplitudes(kind, pump, DetectorPoint(x1, y1, args.z), r2)
         bad = np.flatnonzero(~np.isfinite(abs2))
         if bad.size:
-            i = bad[0]
-            raise ConfigError(f"amplitude at x1={_fmt(x1[i])}, y1={_fmt(y1[i])} is not finite; "
-                              "the pump order is too high for this grid")
-        columns = zip(x1.tolist(), y1.tolist(), amp.real.tolist(), amp.imag.tolist(),
+            raise ConfigError(_non_finite_culprit(args, kind, pump, x1[bad[0]], y1[bad[0]]))
+        y1_text = [t for t in axis_text[start:start + rows] for _ in range(n)]
+        columns = zip(axis_text * len(ys), y1_text, amp.real.tolist(), amp.imag.tolist(),
                       abs2.tolist())
         blocks.append("\n".join([_ROW % row for row in columns]))
     _emit("\n".join(blocks) + "\n", args.out)

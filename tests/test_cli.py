@@ -291,9 +291,10 @@ def test_a_tiny_waist_only_matters_to_field(capsys, argv):
 
 
 def test_a_waist_too_small_for_field_is_named(capsys):
-    # the Rayleigh range underflows to 0 (1e-300), or z / zR (1e-155, 1e-100)
-    # or zR / z (1e+300) overflows when squared
-    for waist in ("1e-300", "1e-155", "1e-100", "1e+300"):
+    # the Rayleigh range underflows to 0 (1e-300) or to a subnormal that z / zR
+    # overflows (1e-160), or z / zR (1e-155, 1e-100) or zR / z (1e+300)
+    # overflows when squared
+    for waist in ("1e-300", "1e-160", "1e-155", "1e-100", "1e+300"):
         code, out, err = run_main(capsys, "field", "--state", "psi+", "--waist", waist,
                                   "--grid=-1:1:3")
         assert (code, out) == (2, ""), waist
@@ -307,13 +308,24 @@ def test_a_waist_too_small_for_field_is_named(capsys):
     (["--state", "psi+", "--pump-wavelength", "1e-300"], "pump wavelength 1e-300 m is out of range"),
     (["--state", "psi+", "--z", "1e300"], "detection plane z 1e+300 m is out of range"),
     (["--state", "psi+", "--z", "1e-300"], "detection plane z 1e-300 m is out of range"),
+    (["--state", "psi+", "--z", "1e-320"], "detection plane z 9.99988867183e-321 m is out of"),
+    (["--state", "psi+", "--z=0.001", "--grid=0.0:1.0:2", "--y2=1.4174190271400286e+149"],
+     "--x2 0 m, --y2 1.41741902714e+149 m put the second detector out of range"),
+    (["--state", "psi+", "--pump", "hg01", "--x2", "1e155"],
+     "--x2 1e+155 m, --y2 0 m put the second detector out of range"),
+    (["--state", "psi+", "--grid=-1e160:1e160:3"],
+     "the grid '-1e160:1e160:3' is out of range for a field map"),
 ], ids=["wave-number-inf", "beam-radius-squared-overflows", "rayleigh-range-tiny",
-        "rayleigh-range-huge", "plane-far", "plane-near"])
+        "rayleigh-range-huge", "plane-far", "plane-near", "plane-subnormal", "gauss-y2-far",
+        "hg01-x2-far", "grid-far"])
 def test_field_names_the_argument_out_of_range(capsys, argv, message):
     # 2 pi / 1e-320 is inf; w(z) = 1e160 is finite but hg_field squares it; with
     # the default waist, z / zR (1e300) or zR / z (1e-300) overflows when squared,
-    # and with the default waist and wavelength only z is left to blame
-    code, out, err = run_main(capsys, "field", *argv, "--grid=-1:1:3")
+    # and with the default waist and wavelength only z is left to blame (at
+    # 1e-320, zR / z is inf before it is squared); a far second detector or grid
+    # point squares its coordinate to inf, which is the pump order's fault only
+    # where a Gaussian pump stays finite
+    code, out, err = run_main(capsys, "field", "--grid=-1:1:3", *argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and message in err
 
@@ -353,6 +365,15 @@ def test_oversized_grid_exits_2(argv):
     assert cp.returncode == 2
     assert cp.stdout == "" and f"more than {cli.MAX_ROWS}" in cp.stderr
     assert len(cp.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("grid", ["-1e308:1e308:3", "-8.988465674311579e+307:8.988465674311579e+307:4"],
+                         ids=["span-inf", "last-point-inf"])
+def test_a_grid_too_wide_for_a_float_is_named(capsys, grid):
+    # hi - lo is inf, or finite while 3 * ((hi - lo) / 3) rounds up to inf
+    code, out, err = run_main(capsys, "field", "--state", "psi+", f"--grid={grid}")
+    assert (code, out) == (2, "")
+    assert err == f"error: grid {grid!r} is too wide: its span overflows the largest float\n"
 
 
 def test_grids_up_to_the_row_cap_are_accepted():

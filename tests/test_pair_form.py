@@ -14,13 +14,14 @@ import pytest
 
 from bellsieve import analysis
 from bellsieve.analysis import oracle_apply
-from bellsieve.optics import apply_element, run_circuit, run_states, waveplate_jones
+from bellsieve.optics import Circuit, apply_element, run_circuit, run_states, waveplate_jones
 from bellsieve.twophoton import (
     EVEN,
     H,
     ODD,
     V,
     PhotonMode,
+    bell_state,
     equal_up_to_global_phase,
     make_state,
     rebase_all,
@@ -105,6 +106,13 @@ def test_the_oracle_calls_no_engine_code():
         source = inspect.getsource(fn)
         for name in ENGINE_NAMES:
             assert name not in source, (fn.__name__, name)
+
+
+def test_the_oracle_refuses_an_unregistered_path_as_the_engine_does():
+    circuit, state = Circuit(paths=("1", "2"), elements=()), bell_state("psi+", "1", "zz")
+    for evolve in (run_circuit, oracle_apply):
+        with pytest.raises(ValueError, match=r"^state occupies unregistered paths: \['zz'\]$"):
+            evolve(circuit, state)
 
 
 def test_the_oracle_wave_plate_is_the_engine_jones_matrix():
