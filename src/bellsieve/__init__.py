@@ -11,16 +11,12 @@ from .analysis import (
     SignatureTable,
     classify,
     coincidence_basis_only,
-    coincidence_probability,
     event_distribution,
     hom_scan,
-    hom_visibility,
     layout_from_json,
-    oracle_apply,
     oracle_check,
     prepare_inputs,
     signature_table,
-    single_photon_unitary,
     success_probability,
 )
 from .hgmodes import (
@@ -52,6 +48,7 @@ from .optics import (
     run_circuit,
     waveplate_jones,
 )
+from .oracle import oracle_apply, single_photon_unitary
 from .twophoton import (
     ANTIDIAG,
     BELL_KINDS,
@@ -63,7 +60,6 @@ from .twophoton import (
     PhotonMode,
     TwoPhotonState,
     attach_pump_parity,
-    apply_y_reflection,
     bell_state,
     equal_up_to_global_phase,
     hyper_state,
@@ -74,8 +70,6 @@ from .twophoton import (
     rebase_all,
     rebase_path,
     rebase_paths,
-    state_from_json,
-    state_to_json,
 )
 
 __version__ = "0.1.0"

@@ -262,6 +262,18 @@ def _non_finite_culprit(args: argparse.Namespace, kind: str, pump: PumpProfile,
     return where + f"the grid {args.grid!r} is out of range for a field map"
 
 
+def _beam_fails(mode: hgmodes.HGMode, z: float) -> bool:
+    """True if the beam radius, squared, or the wavefront curvature of `mode`
+    at z is not finite.  hg_field divides by the Rayleigh range, squares z / zR
+    and zR / z, and squares w(z); a ratio that is already inf squares to inf
+    without raising."""
+    try:
+        return not (math.isfinite(hgmodes.beam_radius(mode, z) ** 2)
+                    and math.isfinite(hgmodes.wavefront_radius(mode, z)))
+    except (OverflowError, ZeroDivisionError):
+        return True
+
+
 def cmd_field(args: argparse.Namespace) -> int:
     pump = parse_pump(args.pump, args.waist, args.pump_wavelength)
     kind, hyper = parse_state_kind(args.state)
@@ -272,19 +284,16 @@ def cmd_field(args: argparse.Namespace) -> int:
     if not math.isfinite(pump.wave_number):
         raise ConfigError(f"pump wavelength {_fmt(args.pump_wavelength)} m is out of range for a "
                           "field map: its wave number is not finite")
-    culprit = f"waist {_fmt(args.waist)} m"  # unless it passes at the default pump wavelength
-    if args.waist == hgmodes.DEFAULT_WAIST and args.pump_wavelength == hgmodes.PUMP_WAVELENGTH:
-        culprit = f"detection plane z {_fmt(args.z)} m"  # both at their defaults
-    try:  # hg_field divides by the Rayleigh range, squares z / zR and zR / z, and squares w(z);
-        # a ratio that is already inf squares to inf without raising
-        for mode in (hgmodes.HGMode(pump.mode.m, pump.mode.n, args.waist), pump.mode):
-            if not (math.isfinite(hgmodes.beam_radius(mode, args.z) ** 2)
-                    and math.isfinite(hgmodes.wavefront_radius(mode, args.z))):
-                raise OverflowError
+    waist_fails = _beam_fails(hgmodes.HGMode(pump.mode.m, pump.mode.n, args.waist), args.z)
+    if waist_fails or _beam_fails(pump.mode, args.z):
+        if _beam_fails(hgmodes.HGMode(pump.mode.m, pump.mode.n), args.z):  # default waist and
+            culprit = f"detection plane z {_fmt(args.z)} m"                 # wavelength fail too
+        elif waist_fails:  # at the default pump wavelength
+            culprit = f"waist {_fmt(args.waist)} m"
+        else:
             culprit = f"pump wavelength {_fmt(args.pump_wavelength)} m"
-    except (OverflowError, ZeroDivisionError):
         raise ConfigError(f"{culprit} is out of range for a field map: the beam radius, squared, "
-                          f"or wavefront curvature at z={_fmt(args.z)} m is not finite") from None
+                          f"or wavefront curvature at z={_fmt(args.z)} m is not finite")
     lo, hi, n = parse_grid(args.grid)
     step = (hi - lo) / (n - 1)
     r2 = DetectorPoint(args.x2, args.y2, args.z)

@@ -399,6 +399,8 @@ def element_from_json(doc: dict) -> Element:
 
 
 def circuit_to_json(circuit: Circuit) -> dict:
+    """The document `circuit_from_json` reads back; public so that a circuit
+    built in Python can be saved in the circuit file format."""
     doc = {
         "version": circuit.version,
         "name": circuit.name,
@@ -421,14 +423,21 @@ def circuit_from_json(doc: dict) -> Circuit:
         raise CircuitSchemaError("'paths' must be a list of strings")
     if not isinstance(doc["elements"], list):
         raise CircuitSchemaError("'elements' must be a list")
+    inputs, name, version = doc.get("inputs", []), doc.get("name", ""), doc.get("version", 1)
+    if not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs):
+        raise CircuitSchemaError(f"'inputs' must be a list of strings, got {inputs!r}")
+    if not isinstance(name, str):
+        raise CircuitSchemaError(f"'name' must be a string, got {name!r}")
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise CircuitSchemaError(f"'version' must be an integer, got {version!r}")
     elements = tuple(element_from_json(e) for e in doc["elements"])
     try:
         return Circuit(
             paths=tuple(doc["paths"]),
             elements=elements,
-            inputs=tuple(doc.get("inputs", ())),
-            name=str(doc.get("name", "")),
-            version=int(doc.get("version", 1)),
+            inputs=tuple(inputs),
+            name=name,
+            version=version,
             layout=doc.get("layout"),
         )
     except ValueError as exc:

@@ -141,9 +141,6 @@ class TwoPhotonState:
     def paths(self) -> set:
         return {m.path for m in self.pair_form()[0]}
 
-    def amplitude(self, m1: PhotonMode, m2: PhotonMode) -> complex:
-        return self.terms.get(pair_key(m1, m2), 0j)
-
 
 def _carry_pair_form(state: TwoPhotonState, modes: List[PhotonMode],
                      w: np.ndarray) -> TwoPhotonState:
@@ -385,15 +382,6 @@ def equal_up_to_global_phase(s1: TwoPhotonState, s2: TwoPhotonState, tol: float 
     return abs(overlap(s1, s2) / math.sqrt(n1 * n2) - 1.0) <= tol
 
 
-def apply_y_reflection(state: TwoPhotonState) -> TwoPhotonState:
-    """Simultaneous y-reflection of both photons: amplitude times (-1)^(#odd)."""
-    terms = {}
-    for (m1, m2), a in state.terms.items():
-        s = (-1.0 if m1.parity == ODD else 1.0) * (-1.0 if m2.parity == ODD else 1.0)
-        terms[(m1, m2)] = s * a
-    return TwoPhotonState(terms, dict(state.delays))
-
-
 def joint_parities(state: TwoPhotonState) -> set:
     """Set of per-term joint parities (+1/-1) present in the state."""
     out = set()
@@ -457,35 +445,3 @@ def pol_pair_probs(state: TwoPhotonState) -> Dict[Tuple[Tuple[str, float], Tuple
         k = (r1, r2) if r1 <= r2 else (r2, r1)
         out[k] = out.get(k, 0.0) + abs(a) ** 2
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def mode_from_json(d: dict) -> PhotonMode:
-    return PhotonMode(
-        path=str(d["path"]),
-        pol=float(d.get("pol", H)),
-        parity=str(d.get("parity", EVEN)),
-        temporal=int(d.get("temporal", 0)),
-    )
-
-
-def state_to_json(state: TwoPhotonState) -> dict:
-    """JSON form: {"terms": [{"modes": [m1, m2], "re": .., "im": ..}], "delays": {..}}."""
-    terms = []
-    for (m1, m2), a in sorted(state.terms.items()):
-        terms.append({"modes": [m1._asdict(), m2._asdict()], "re": a.real, "im": a.imag})
-    doc = {"terms": terms}
-    if state.delays:
-        doc["delays"] = {k: state.delays[k] for k in sorted(state.delays)}
-    return doc
-
-
-def state_from_json(doc: dict) -> TwoPhotonState:
-    terms: Dict[PairKey, complex] = {}
-    for t in doc["terms"]:
-        m1, m2 = (mode_from_json(x) for x in t["modes"])
-        terms[pair_key(m1, m2)] = complex(float(t["re"]), float(t.get("im", 0.0)))
-    return make_state(terms, doc.get("delays"))

@@ -10,10 +10,8 @@ from bellsieve.analysis import (
     OverlapModel,
     classify,
     coincidence_basis_only,
-    coincidence_probability,
     event_distribution,
     hom_scan,
-    hom_visibility,
     layout_from_json,
     oracle_apply,
     oracle_check,
@@ -270,28 +268,32 @@ def test_hom_scan_symmetric_in_delay():
 
 
 def test_hom_visibility_definitions():
+    # under HG01 psi- dips from 1/2 to 0 and psi+ peaks from 1/2 to 1: both
+    # visibilities, |P(0) - P(far)| / P(far), are 1
     deltas = [i * 50e-6 for i in range(-40, 41)]
-    kind, v = hom_visibility(hom_scan("psi-", hg01_pump(), deltas))
-    assert kind == "dip" and v == pytest.approx(1.0, abs=1e-6)
-    kind, v = hom_visibility(hom_scan("psi+", hg01_pump(), deltas))
-    assert kind == "peak" and v == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(ValueError, match="far baseline is 0"):
-        hom_visibility([(-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)])
+    dip = dict(hom_scan("psi-", hg01_pump(), deltas))
+    assert dip[0.0] == pytest.approx(0.0, abs=1e-12)
+    assert dip[deltas[0]] == dip[deltas[-1]] == pytest.approx(0.5, abs=1e-6)
+    peak = dict(hom_scan("psi+", hg01_pump(), deltas))
+    assert peak[0.0] == pytest.approx(1.0)
+    assert peak[deltas[0]] == peak[deltas[-1]] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_pump_parity_complementarity():
     for kind in BELL_KINDS:
-        p_even = coincidence_probability(kind, gaussian_pump(), 1.0)
-        p_odd = coincidence_probability(kind, hg01_pump(), 1.0)
+        [(_, p_even)] = hom_scan(kind, gaussian_pump(), [0.0])
+        [(_, p_odd)] = hom_scan(kind, hg01_pump(), [0.0])
         assert p_even + p_odd == pytest.approx(1.0)
 
 
 def test_coincidence_probability_mixes_linearly():
-    o = 0.88
-    assert coincidence_probability("psi+", hg01_pump(), o) == pytest.approx((1 + o) / 2)
-    assert coincidence_probability("psi-", hg01_pump(), o) == pytest.approx((1 - o) / 2)
-    with pytest.raises(ValueError):
-        coincidence_probability("psi+", hg01_pump(), 1.2)
+    model = OverlapModel()
+    delta = 0.35 * model.sigma_l
+    o = model.overlap(delta)
+    [(_, p_plus)] = hom_scan("psi+", hg01_pump(), [delta], model)
+    [(_, p_minus)] = hom_scan("psi-", hg01_pump(), [delta], model)
+    assert p_plus == pytest.approx((1 + o) / 2)
+    assert p_minus == pytest.approx((1 - o) / 2)
 
 
 def test_success_ideal_overlap_is_perfect():
@@ -353,7 +355,7 @@ def test_oracle_agrees_with_engine_amplitudes():
 def test_dense_matrices_are_unitary():
     import numpy as np
 
-    from bellsieve.analysis import circuit_mode_basis, single_photon_unitary
+    from bellsieve.oracle import circuit_mode_basis, single_photon_unitary
 
     rng = random.Random(55)
     targets = [(INCOMPLETE, prepare_inputs(INCOMPLETE, hg01_pump())[0][1]),

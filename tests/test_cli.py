@@ -303,12 +303,16 @@ def test_a_waist_too_small_for_field_is_named(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["--state", "psi+", "--pump-wavelength", "1e-320"], "pump wavelength 9.99988867183e-321 m"),
-    (["--state", "psi-", "--waist", "1e10", "--z", "7.8e176"], "waist 10000000000 m"),
+    (["--state", "psi-", "--waist", "1e10", "--z", "7.8e176"], "detection plane z 7.8e+176 m"),
     (["--state", "psi+", "--pump-wavelength", "1e300"], "pump wavelength 1e+300 m is out of range"),
     (["--state", "psi+", "--pump-wavelength", "1e-300"], "pump wavelength 1e-300 m is out of range"),
     (["--state", "psi+", "--z", "1e300"], "detection plane z 1e+300 m is out of range"),
     (["--state", "psi+", "--z", "1e-300"], "detection plane z 1e-300 m is out of range"),
     (["--state", "psi+", "--z", "1e-320"], "detection plane z 9.99988867183e-321 m is out of"),
+    (["--state", "psi+", "--waist", "2e-3", "--z", "1e-320"],
+     "detection plane z 9.99988867183e-321 m is out of"),
+    (["--state", "psi+", "--pump-wavelength", "400e-9", "--z", "1e-320"],
+     "detection plane z 9.99988867183e-321 m is out of"),
     (["--state", "psi+", "--z=0.001", "--grid=0.0:1.0:2", "--y2=1.4174190271400286e+149"],
      "--x2 0 m, --y2 1.41741902714e+149 m put the second detector out of range"),
     (["--state", "psi+", "--pump", "hg01", "--x2", "1e155"],
@@ -316,13 +320,16 @@ def test_a_waist_too_small_for_field_is_named(capsys):
     (["--state", "psi+", "--grid=-1e160:1e160:3"],
      "the grid '-1e160:1e160:3' is out of range for a field map"),
 ], ids=["wave-number-inf", "beam-radius-squared-overflows", "rayleigh-range-tiny",
-        "rayleigh-range-huge", "plane-far", "plane-near", "plane-subnormal", "gauss-y2-far",
+        "rayleigh-range-huge", "plane-far", "plane-near", "plane-subnormal",
+        "plane-subnormal-waist-2mm", "plane-subnormal-wavelength-400nm", "gauss-y2-far",
         "hg01-x2-far", "grid-far"])
 def test_field_names_the_argument_out_of_range(capsys, argv, message):
-    # 2 pi / 1e-320 is inf; w(z) = 1e160 is finite but hg_field squares it; with
-    # the default waist, z / zR (1e300) or zR / z (1e-300) overflows when squared,
-    # and with the default waist and wavelength only z is left to blame (at
-    # 1e-320, zR / z is inf before it is squared); a far second detector or grid
+    # 2 pi / 1e-320 is inf; w(z) = 1e160 is finite but hg_field squares it, and
+    # the default 1 mm waist fails at that z as well (z / zR overflows when
+    # squared), so z is named; with the default waist, z / zR (1e300) or zR / z
+    # (1e-300) overflows when squared; z is named wherever the default waist and
+    # wavelength fail at the same z (at 1e-320, zR / z is inf before it is
+    # squared, whatever the waist or wavelength); a far second detector or grid
     # point squares its coordinate to inf, which is the pump order's fault only
     # where a Gaussian pump stays finite
     code, out, err = run_main(capsys, "field", "--grid=-1:1:3", *argv)
@@ -405,6 +412,25 @@ def test_exit_code_3_on_malformed_layout(capsys, tmp_path: Path, edit, message):
     code, _, err = run_main(capsys, "bsa", "--circuit", circuit, "--all-bell")
     assert code == 3
     assert message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("inputs", "12", "'inputs' must be a list of strings, got '12'"),
+    ("inputs", 5, "'inputs' must be a list of strings, got 5"),
+    ("inputs", ["1", 2], "'inputs' must be a list of strings, got ['1', 2]"),
+    ("name", ["a"], "'name' must be a string, got ['a']"),
+    ("version", 1.7, "'version' must be an integer, got 1.7"),
+    ("version", math.inf, "'version' must be an integer, got inf"),
+    ("version", True, "'version' must be an integer, got True"),
+], ids=["inputs-string", "inputs-number", "inputs-mixed", "name-list", "version-float",
+        "version-overflow", "version-bool"])
+def test_exit_code_3_on_a_misread_top_level_field(capsys, tmp_path: Path, field, value, message):
+    # each was read without complaint before: "12" split into ["1", "2"], a
+    # list stringified into the output, 1.7 truncated to 1, 1e400 an overflow
+    circuit = _edited_incomplete_bsa(tmp_path, lambda doc: doc.update({field: value}))
+    code, out, err = run_main(capsys, "bsa", "--circuit", circuit, "--all-bell")
+    assert (code, out) == (3, "")
+    assert err == f"circuit schema error: {message}\n"
 
 
 @pytest.mark.parametrize("port,angle", [("30", 30.0), ("-0", 0.0), ("45b", 135.0)])

@@ -5,6 +5,7 @@ a basis change and the dense oracle) hands its form to the state it builds.
 The form must be the one `to_pair_matrices` builds from the terms, bit for
 bit, and the oracle comparison must read the forms alone.
 """
+import ast
 import inspect
 import math
 import random
@@ -12,8 +13,8 @@ import random
 import numpy as np
 import pytest
 
-from bellsieve import analysis
-from bellsieve.analysis import oracle_apply
+from bellsieve import optics, oracle, twophoton
+from bellsieve.oracle import oracle_apply
 from bellsieve.optics import Circuit, apply_element, run_circuit, run_states, waveplate_jones
 from bellsieve.twophoton import (
     EVEN,
@@ -99,13 +100,39 @@ ENGINE_NAMES = ("mode_map", "to_pair_matrices", "from_pair_matrices", "rebase_",
 
 
 def test_the_oracle_calls_no_engine_code():
-    oracle = (analysis.circuit_mode_basis, analysis._mode_basis, analysis._pol_vec,
-              analysis._waveplate, analysis._io_roles, analysis._element_unitary,
-              analysis._evolve, analysis.single_photon_unitary, analysis.oracle_apply)
-    for fn in oracle:
+    functions = [fn for fn in vars(oracle).values()
+                 if inspect.isfunction(fn) and fn.__module__ == oracle.__name__]
+    assert oracle.oracle_apply in functions and oracle._waveplate in functions
+    for fn in functions:
         source = inspect.getsource(fn)
         for name in ENGINE_NAMES:
             assert name not in source, (fn.__name__, name)
+
+
+def test_the_oracle_imports_only_what_an_independent_derivation_may():
+    """From the package the oracle takes the circuit's description (the
+    element classes, `Element`, `Circuit`), the state type and its labels,
+    the constants, and `state_from_pairs`, the one documented shared helper;
+    no engine rule, conversion or detection code."""
+    may_take = {
+        "optics": {cls.__name__ for cls in optics.ELEMENT_TYPES.values()} | {"Element", "Circuit"},
+        "twophoton": {"PhotonMode", "TwoPhotonState", "normalize_angle", "state_from_pairs"}
+        | {name for name, value in vars(twophoton).items()
+           if name.isupper() and isinstance(value, (int, float, str, tuple))},
+    }
+    tree = ast.parse(inspect.getsource(oracle))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1 and node.module in may_take, ast.dump(node)
+            for alias in node.names:
+                assert alias.name in may_take[node.module], (node.module, alias.name)
+                taken.add(alias.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else \
+                [alias.name for alias in node.names]
+            assert not any(m.split(".")[0] == "bellsieve" for m in modules), ast.dump(node)
+    assert {"Circuit", "TwoPhotonState", "state_from_pairs"} <= taken
 
 
 def test_the_oracle_refuses_an_unregistered_path_as_the_engine_does():
@@ -118,6 +145,6 @@ def test_the_oracle_refuses_an_unregistered_path_as_the_engine_does():
 def test_the_oracle_wave_plate_is_the_engine_jones_matrix():
     for kind in ("half", "quarter"):
         for axis in np.linspace(0.0, 180.0, 37):
-            got = analysis._waveplate(kind, float(axis))
+            got = oracle._waveplate(kind, float(axis))
             assert abs(got - waveplate_jones(kind, float(axis))).max() <= 2e-16, (kind, axis)
 

@@ -7,7 +7,7 @@ from bellsieve import twophoton
 from bellsieve.analysis import event_distribution, layout_from_json, prepare_inputs
 from bellsieve.cli import resolve_circuit
 from bellsieve.hgmodes import gaussian_pump, hg01_pump
-from bellsieve.optics import Circuit, WavePlate, run_circuit
+from bellsieve.optics import Circuit, Mirror, WavePlate, run_circuit
 from bellsieve.twophoton import (
     BELL_KINDS,
     EVEN,
@@ -16,7 +16,6 @@ from bellsieve.twophoton import (
     V,
     PhotonMode,
     TwoPhotonState,
-    apply_y_reflection,
     attach_pump_parity,
     bell_state,
     equal_up_to_global_phase,
@@ -28,8 +27,6 @@ from bellsieve.twophoton import (
     pol_pair_probs,
     rebase_all,
     rebase_path,
-    state_from_json,
-    state_to_json,
 )
 
 from helpers import count_mode_map_passes, random_state
@@ -39,8 +36,10 @@ SQRT2 = math.sqrt(2.0)
 
 def test_psi_minus_amplitudes():
     s = bell_state("psi-", "1", "2")
-    assert s.amplitude(PhotonMode("1", H), PhotonMode("2", V)) == pytest.approx(1 / SQRT2)
-    assert s.amplitude(PhotonMode("1", V), PhotonMode("2", H)) == pytest.approx(-1 / SQRT2)
+    hv = pair_key(PhotonMode("1", H), PhotonMode("2", V))
+    vh = pair_key(PhotonMode("1", V), PhotonMode("2", H))
+    assert s.terms.get(hv, 0j) == pytest.approx(1 / SQRT2)
+    assert s.terms.get(vh, 0j) == pytest.approx(-1 / SQRT2)
     assert len(s.terms) == 2
 
 
@@ -62,15 +61,15 @@ def test_bell_orthonormality():
 def test_hyper_state_terms():
     s = hyper_state("psi+", ("a", "b", "c", "d"))
     for p1, p2 in (("a", "b"), ("c", "d")):
-        assert s.amplitude(PhotonMode(p1, H), PhotonMode(p2, V)) == pytest.approx(0.5)
-        assert s.amplitude(PhotonMode(p1, V), PhotonMode(p2, H)) == pytest.approx(0.5)
+        assert s.terms.get(pair_key(PhotonMode(p1, H), PhotonMode(p2, V)), 0j) == pytest.approx(0.5)
+        assert s.terms.get(pair_key(PhotonMode(p1, V), PhotonMode(p2, H)), 0j) == pytest.approx(0.5)
     assert s.norm_sq() == pytest.approx(1.0)
 
     f = hyper_state("phi-", ("a", "b", "c", "d"))
-    assert f.amplitude(PhotonMode("a", H), PhotonMode("b", H)) == pytest.approx(0.5)
-    assert f.amplitude(PhotonMode("a", V), PhotonMode("b", V)) == pytest.approx(-0.5)
-    assert f.amplitude(PhotonMode("c", H), PhotonMode("d", H)) == pytest.approx(0.5)
-    assert f.amplitude(PhotonMode("c", V), PhotonMode("d", V)) == pytest.approx(-0.5)
+    assert f.terms.get(pair_key(PhotonMode("a", H), PhotonMode("b", H)), 0j) == pytest.approx(0.5)
+    assert f.terms.get(pair_key(PhotonMode("a", V), PhotonMode("b", V)), 0j) == pytest.approx(-0.5)
+    assert f.terms.get(pair_key(PhotonMode("c", H), PhotonMode("d", H)), 0j) == pytest.approx(0.5)
+    assert f.terms.get(pair_key(PhotonMode("c", V), PhotonMode("d", V)), 0j) == pytest.approx(-0.5)
 
 
 def test_hyper_state_rejects_duplicate_paths():
@@ -102,11 +101,12 @@ def test_attach_rejects_double_attachment():
 
 
 def test_joint_reflection_flips_odd_pump_state():
+    both_reflected = Circuit(paths=("1", "2"), elements=(Mirror("1"), Mirror("2")))
     s = attach_pump_parity(bell_state("phi+", "1", "2"), hg01_pump())
-    flipped = apply_y_reflection(s)
+    flipped = run_circuit(both_reflected, s)
     assert inner_product(flipped, s) == pytest.approx(-1.0)
     e = attach_pump_parity(bell_state("phi+", "1", "2"), gaussian_pump())
-    assert inner_product(apply_y_reflection(e), e) == pytest.approx(1.0)
+    assert inner_product(run_circuit(both_reflected, e), e) == pytest.approx(1.0)
 
 
 def test_orthogonal_parity_sectors():
@@ -248,15 +248,6 @@ def test_pol_pair_probs_reduces_parity():
     assert probs[(("1", V), ("2", H))] == pytest.approx(0.5)
 
 
-def test_json_round_trip():
-    s = attach_pump_parity(bell_state("phi-", "1", "2"), hg01_pump())
-    s = TwoPhotonState(dict(s.terms), {"1": 1.5e-6})
-    doc = state_to_json(s)
-    back = state_from_json(doc)
-    assert equal_up_to_global_phase(back, s, tol=1e-12)
-    assert back.delays == {"1": 1.5e-6}
-
-
 def _canonical(m):
     return (m.path, m.pol, 0 if m.parity == EVEN else 1, m.temporal)
 
@@ -274,25 +265,8 @@ def test_pair_key_is_order_insensitive():
         assert pair_key(m, n) == tuple(sorted((m, n), key=_canonical))
 
 
-def test_state_to_json_keeps_its_term_order():
-    # photon two's paths sort first, so the canonical order is not insertion order
-    s = attach_pump_parity(hyper_state("psi-", ("d", "a", "c", "b"), temporal=(1, 0)),
-                           hg01_pump())
-    got = [tuple(tuple(m.values()) for m in t["modes"]) for t in state_to_json(s)["terms"]]
-    assert got == [
-        (("a", H, EVEN, 0), ("d", V, ODD, 1)), (("a", H, ODD, 0), ("d", V, EVEN, 1)),
-        (("a", V, EVEN, 0), ("d", H, ODD, 1)), (("a", V, ODD, 0), ("d", H, EVEN, 1)),
-        (("b", H, EVEN, 0), ("c", V, ODD, 1)), (("b", H, ODD, 0), ("c", V, EVEN, 1)),
-        (("b", V, EVEN, 0), ("c", H, ODD, 1)), (("b", V, ODD, 0), ("c", H, EVEN, 1)),
-    ]
-
-
 @pytest.mark.parametrize("pol", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("build", [
-    lambda pol: PhotonMode("1", float(pol)),
-    lambda pol: state_from_json({"terms": [{"modes": [{"path": "1", "pol": pol}, {"path": "2"}],
-                                            "re": 1.0}]}),
-], ids=["constructor", "state_from_json"])
+@pytest.mark.parametrize("build", [lambda pol: PhotonMode("1", float(pol))], ids=["constructor"])
 def test_a_non_finite_polarization_is_rejected(build, pol):
     with pytest.raises(ValueError, match=f"polarization angle must be finite, got {pol}$"):
         build(pol)
