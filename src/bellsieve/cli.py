@@ -286,8 +286,8 @@ def cmd_field(args: argparse.Namespace) -> int:
                           "field map: its wave number is not finite")
     waist_fails = _beam_fails(hgmodes.HGMode(pump.mode.m, pump.mode.n, args.waist), args.z)
     if waist_fails or _beam_fails(pump.mode, args.z):
-        if _beam_fails(hgmodes.HGMode(pump.mode.m, pump.mode.n), args.z):  # default waist and
-            culprit = f"detection plane z {_fmt(args.z)} m"                 # wavelength fail too
+        if _beam_fails(hgmodes.HGMode(pump.mode.m, pump.mode.n), args.z):
+            culprit = f"detection plane z {_fmt(args.z)} m"  # the default beam fails there too
         elif waist_fails:  # at the default pump wavelength
             culprit = f"waist {_fmt(args.waist)} m"
         else:
